@@ -8,7 +8,12 @@
 #include <sstream>
 #include <vector>
 
+#include "core/checkpoint.h"
+#include "core/collapsed_sampler.h"
 #include "core/joint_topic_model.h"
+#include "core/serialization.h"
+#include "serve/snapshot.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace texrheo::math {
@@ -206,6 +211,178 @@ TEST(GoldenRegressionTest, SerialChainTrajectoryIsPinned) {
     std::vector<int> top = TopTerms(estimates.phi[k], 5);
     EXPECT_EQ(top, kGoldenTopTerms[k])
         << "topic " << k << " actual top terms: " << Joined(top);
+  }
+}
+
+// --- Trajectory and fold-in byte pins ------------------------------------
+//
+// The golden above pins only coarse outcomes (hard topics, y, top terms) of
+// an 8-document corpus, which a changed trajectory can still pass. These
+// pins fix the *complete* sampler state after 30 sweeps: the CRC-32 of the
+// encoded checkpoint (assignments, every count matrix, the RNG streams, the
+// instantiated Gaussians or Student-t statistics, the likelihood trace)
+// for both samplers, both z draws, and one- and four-thread chains. The
+// fold-in pins fix the theta bytes the serving path returns for fixed
+// queries and streams. The corpus is generated here from a fixed seed
+// rather than by the corpus generator, so generator changes cannot move
+// the values. A refactor must keep every value; a deliberate change to a
+// sampler's trajectory must regenerate them and say so in the changelog.
+
+constexpr size_t kPinVocab = 12;
+
+recipe::Dataset PinnedCorpus() {
+  recipe::Dataset ds;
+  for (size_t v = 0; v < kPinVocab; ++v) {
+    ds.term_vocab.Add("t" + std::to_string(v));
+  }
+  Rng rng(20221017);
+  for (size_t d = 0; d < 48; ++d) {
+    // Three planted clusters, each with its own four-term block and its
+    // own region of the 2-D gel / emulsion feature spaces.
+    const uint64_t cluster = rng.NextUint(3);
+    recipe::Document doc;
+    doc.recipe_index = d;
+    const uint64_t length = 1 + rng.NextUint(5);
+    for (uint64_t n = 0; n < length; ++n) {
+      const uint64_t term = rng.NextDouble() < 0.8
+                                ? cluster * 4 + rng.NextUint(4)
+                                : rng.NextUint(kPinVocab);
+      doc.term_ids.push_back(static_cast<int32_t>(term));
+    }
+    const double c = static_cast<double>(cluster);
+    doc.gel_feature = math::Vector(2);
+    doc.gel_feature[0] = 1.0 + 1.5 * c + 0.3 * rng.NextGaussian();
+    doc.gel_feature[1] = 2.0 - 0.5 * c + 0.3 * rng.NextGaussian();
+    doc.emulsion_feature = math::Vector(2);
+    doc.emulsion_feature[0] = 0.5 * c + 0.2 * rng.NextGaussian();
+    doc.emulsion_feature[1] = 1.0 + 0.2 * rng.NextGaussian();
+    doc.gel_concentration = math::Vector(2, 0.02);
+    doc.emulsion_concentration = math::Vector(2, 0.1);
+    ds.documents.push_back(std::move(doc));
+  }
+  return ds;
+}
+
+JointTopicModelConfig PinnedConfig(bool sparse, int threads) {
+  JointTopicModelConfig config;
+  config.num_topics = 4;
+  config.alpha = 0.3;
+  config.gamma = 0.1;
+  config.auto_prior = false;
+  math::NormalWishartParams nw;
+  nw.mu0 = math::Vector(2, 1.5);
+  nw.beta = 1.0;
+  nw.nu = 4.0;
+  nw.scale = math::Matrix::Identity(2, 0.5);
+  config.gel_prior = nw;
+  config.emulsion_prior = nw;
+  config.seed = 20221017;
+  config.sparse_sampler = sparse;
+  config.num_threads = threads;
+  return config;
+}
+
+struct TrajectoryPin {
+  const char* name;
+  bool collapsed;
+  bool sparse;
+  int threads;
+  uint32_t crc;
+};
+
+TEST(TrajectoryPinTest, CheckpointBytesAfterThirtySweeps) {
+  const TrajectoryPin kPins[] = {
+      {"joint dense 1 thread", false, false, 1, 0xc6c3247du},
+      {"joint dense 4 threads", false, false, 4, 0x535bfc96u},
+      {"joint sparse 1 thread", false, true, 1, 0x9ee19059u},
+      {"joint sparse 4 threads", false, true, 4, 0x6bf155c7u},
+      {"collapsed 1 thread", true, false, 1, 0xdd93a478u},
+      {"collapsed 4 threads", true, false, 4, 0x772e491du},
+  };
+  for (const TrajectoryPin& pin : kPins) {
+    SCOPED_TRACE(pin.name);
+    recipe::Dataset ds = PinnedCorpus();
+    const JointTopicModelConfig config = PinnedConfig(pin.sparse, pin.threads);
+    std::string bytes;
+    if (pin.collapsed) {
+      auto model = CollapsedJointTopicModel::Create(config, &ds);
+      ASSERT_TRUE(model.ok()) << model.status().ToString();
+      ASSERT_TRUE(model->RunSweeps(30).ok());
+      bytes = EncodeCheckpoint(model->CaptureCheckpoint());
+    } else {
+      auto model = JointTopicModel::Create(config, &ds);
+      ASSERT_TRUE(model.ok()) << model.status().ToString();
+      ASSERT_TRUE(model->RunSweeps(30).ok());
+      bytes = EncodeCheckpoint(model->CaptureCheckpoint());
+    }
+    const uint32_t crc = Crc32(bytes);
+    EXPECT_EQ(crc, pin.crc) << "actual 0x" << std::hex << crc;
+  }
+}
+
+math::Gaussian PinnedGaussian(double m0, double m1, double p) {
+  math::Vector mean(2);
+  mean[0] = m0;
+  mean[1] = m1;
+  math::Matrix precision = math::Matrix::Identity(2, p);
+  precision(0, 1) = precision(1, 0) = 0.25 * p;
+  auto g = math::Gaussian::FromPrecision(std::move(mean), std::move(precision));
+  EXPECT_TRUE(g.ok());
+  return *g;
+}
+
+/// Hand-built three-topic serving model: fixed phi rows and Gaussians, so
+/// the fold-in pins depend on the fold-in path alone, not on training.
+core::ModelSnapshot PinnedServingModel() {
+  core::ModelSnapshot model;
+  for (const char* term : {"katai", "purupuru", "fuwafuwa", "mochimochi",
+                           "sakusaku"}) {
+    model.vocab.Add(term);
+  }
+  model.estimates.phi = {{0.50, 0.20, 0.10, 0.10, 0.10},
+                         {0.05, 0.60, 0.25, 0.05, 0.05},
+                         {0.10, 0.05, 0.05, 0.40, 0.40}};
+  model.estimates.gel_topics = {PinnedGaussian(1.0, 2.0, 3.0),
+                                PinnedGaussian(3.0, 1.0, 2.0),
+                                PinnedGaussian(5.0, 3.0, 4.0)};
+  model.estimates.emulsion_topics = model.estimates.gel_topics;
+  model.estimates.topic_recipe_count = {4, 3, 5};
+  return model;
+}
+
+struct FoldInPin {
+  std::vector<int32_t> terms;
+  double gel0;
+  double gel1;
+  uint64_t stream;
+  uint32_t crc;
+};
+
+TEST(TrajectoryPinTest, ServingFoldInThetaBytes) {
+  auto snapshot =
+      serve::ServingSnapshot::FromModel(PinnedServingModel(), "pin");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const FoldInPin kPins[] = {
+      {{0, 1}, 1.2, 1.8, 1, 0xeb410e73u},
+      {{4, 3, 3}, 4.8, 2.9, 2, 0x2424693au},
+      {{1, 2, 1, 0}, 3.1, 1.2, 3, 0x689bb460u},
+      {{}, 2.5, 2.5, 4, 0x541736c5u},
+  };
+  for (const FoldInPin& pin : kPins) {
+    SCOPED_TRACE("stream " + std::to_string(pin.stream));
+    math::Vector gel(2);
+    gel[0] = pin.gel0;
+    gel[1] = pin.gel1;
+    Rng rng = Rng::ForStream(20221017, pin.stream);
+    auto theta = (*snapshot)->FoldInTheta(pin.terms, gel, 25, 0.3, rng);
+    ASSERT_TRUE(theta.ok()) << theta.status().ToString();
+    const uint32_t crc =
+        Crc32(theta->data(), theta->size() * sizeof(double));
+    std::ostringstream actual;
+    actual.precision(17);
+    for (double t : *theta) actual << t << " ";
+    EXPECT_EQ(crc, pin.crc) << "actual 0x" << std::hex << crc << " theta "
+                            << actual.str();
   }
 }
 
