@@ -155,8 +155,9 @@ texrheo::StatusOr<std::vector<math::Gaussian>> FitPostHocGaussians(
     }
     // MAP-style estimate: posterior-mean Gaussian of the Normal-Wishart
     // update (degenerate sample covariance is regularized by the prior).
-    math::NormalWishartParams post =
-        prior.Posterior(moments.count(), moments.Mean(), moments.Scatter());
+    TEXRHEO_ASSIGN_OR_RETURN(
+        math::NormalWishartParams post,
+        prior.Posterior(moments.count(), moments.Mean(), moments.Scatter()));
     TEXRHEO_ASSIGN_OR_RETURN(math::Gaussian g, math::NormalWishartMean(post));
     out.push_back(std::move(g));
   }

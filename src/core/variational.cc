@@ -122,11 +122,13 @@ texrheo::Status VariationalJointTopicModel::UpdateGaussians() {
       gel_scatter += r * math::Matrix::Outer(dg, dg);
       emu_scatter += r * math::Matrix::Outer(de, de);
     }
-    math::NormalWishartParams gel_post =
-        config_.gel_prior.PosteriorWeighted(weight, gel_mean, gel_scatter);
-    math::NormalWishartParams emu_post =
+    TEXRHEO_ASSIGN_OR_RETURN(
+        math::NormalWishartParams gel_post,
+        config_.gel_prior.PosteriorWeighted(weight, gel_mean, gel_scatter));
+    TEXRHEO_ASSIGN_OR_RETURN(
+        math::NormalWishartParams emu_post,
         config_.emulsion_prior.PosteriorWeighted(weight, emu_mean,
-                                                 emu_scatter);
+                                                 emu_scatter));
     TEXRHEO_ASSIGN_OR_RETURN(math::Gaussian g,
                              math::NormalWishartMean(gel_post));
     TEXRHEO_ASSIGN_OR_RETURN(math::Gaussian e,

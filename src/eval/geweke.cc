@@ -157,8 +157,10 @@ texrheo::Status ResampleDataGivenLatents(
         moments.Add(ds.documents[d].gel_feature);
       }
     }
-    math::NormalWishartParams post = cfg.gel_prior.Posterior(
-        moments.count(), moments.Mean(), moments.Scatter());
+    TEXRHEO_ASSIGN_OR_RETURN(
+        math::NormalWishartParams post,
+        cfg.gel_prior.Posterior(moments.count(), moments.Mean(),
+                                moments.Scatter()));
     TEXRHEO_ASSIGN_OR_RETURN(math::Gaussian g,
                              math::NormalWishartSample(rng, post));
     gaussians.push_back(std::move(g));

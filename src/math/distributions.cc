@@ -186,12 +186,12 @@ texrheo::Status NormalWishartParams::Validate() const {
   return Cholesky::Factor(scale).status();
 }
 
-NormalWishartParams NormalWishartParams::Posterior(
+texrheo::StatusOr<NormalWishartParams> NormalWishartParams::Posterior(
     size_t n, const Vector& mean, const Matrix& scatter) const {
   return PosteriorWeighted(static_cast<double>(n), mean, scatter);
 }
 
-NormalWishartParams NormalWishartParams::PosteriorWeighted(
+texrheo::StatusOr<NormalWishartParams> NormalWishartParams::PosteriorWeighted(
     double effective_n, const Vector& mean, const Matrix& scatter) const {
   if (effective_n <= 0.0) return *this;
   double nn = effective_n;
@@ -200,15 +200,11 @@ NormalWishartParams NormalWishartParams::PosteriorWeighted(
   post.nu = nu + nn;
   post.mu0 = (1.0 / (nn + beta)) * (nn * mean + beta * mu0);
   // S_c^{-1} = S^{-1} + scatter + n*beta/(n+beta) (mean-mu0)(mean-mu0)^T
-  auto s_inv_or = InversePD(scale);
-  assert(s_inv_or.ok());  // Callers validate the prior once up front.
-  Matrix s_inv = std::move(s_inv_or).value();
+  TEXRHEO_ASSIGN_OR_RETURN(Matrix s_inv, InversePD(scale));
   Vector diff = mean - mu0;
   s_inv += scatter;
   s_inv += (nn * beta / (nn + beta)) * Matrix::Outer(diff, diff);
-  auto s_or = InversePD(s_inv);
-  assert(s_or.ok());
-  post.scale = std::move(s_or).value();
+  TEXRHEO_ASSIGN_OR_RETURN(post.scale, InversePD(s_inv));
   return post;
 }
 

@@ -94,16 +94,17 @@ struct NormalWishartParams {
 
   /// Posterior after observing n points with sample mean `mean` and scatter
   /// matrix sum (x_i - mean)(x_i - mean)^T (paper eq. 4's S_c, mu_c, nu_c,
-  /// beta_c). With n == 0 returns the prior unchanged.
-  NormalWishartParams Posterior(size_t n, const Vector& mean,
-                                const Matrix& scatter) const;
+  /// beta_c). With n == 0 returns the prior unchanged. Fails when the
+  /// prior or updated scale matrix is not positive definite, which is how
+  /// a non-finite feature in the sufficient statistics surfaces.
+  texrheo::StatusOr<NormalWishartParams> Posterior(
+      size_t n, const Vector& mean, const Matrix& scatter) const;
 
   /// Same update with a fractional effective count (responsibility-weighted
   /// sufficient statistics, as used by variational inference). With
   /// effective_n <= 0 returns the prior unchanged.
-  NormalWishartParams PosteriorWeighted(double effective_n,
-                                        const Vector& mean,
-                                        const Matrix& scatter) const;
+  texrheo::StatusOr<NormalWishartParams> PosteriorWeighted(
+      double effective_n, const Vector& mean, const Matrix& scatter) const;
 };
 
 /// One draw (mu_k, Lambda_k) from a Normal–Wishart distribution; the result

@@ -867,27 +867,58 @@ TEST(NumericalHealthTest, HealthyModelsPass) {
 }
 
 TEST(NumericalHealthTest, PoisonedDataStopsTrainingBeforeCheckpointing) {
-  recipe::Dataset ds = TinyDataset();
-  JointTopicModelConfig config = TinyConfig(63);
-  config.checkpoint_interval = 1;
-  config.checkpoint_dir = FreshDir("poisoned");
+  // Every sweep path: both z draws of the joint sampler and the collapsed
+  // sampler, each as the one-shard chain and on the four-shard engine.
+  struct Path {
+    const char* name;
+    bool collapsed;
+    bool sparse;
+    int threads;
+  };
+  const Path kPaths[] = {
+      {"joint dense 1 thread", false, false, 1},
+      {"joint dense 4 threads", false, false, 4},
+      {"joint sparse 1 thread", false, true, 1},
+      {"joint sparse 4 threads", false, true, 4},
+      {"collapsed 1 thread", true, false, 1},
+      {"collapsed 4 threads", true, false, 4},
+  };
+  for (const Path& path : kPaths) {
+    SCOPED_TRACE(path.name);
+    recipe::Dataset ds = TinyDataset();
+    JointTopicModelConfig config = TinyConfig(63);
+    config.sparse_sampler = path.sparse;
+    config.num_threads = path.threads;
+    config.checkpoint_interval = 1;
+    config.checkpoint_dir = FreshDir("poisoned");
 
-  auto model = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(model.ok());
-  ASSERT_TRUE(model->RunSweeps(2).ok());  // Sweeps 1 and 2 checkpointed.
+    // Sweeps 1 and 2 are checkpointed; then the corpus is poisoned
+    // mid-run, as a corrupted feature pipeline would.
+    Status status = Status::OK();
+    if (path.collapsed) {
+      auto model = CollapsedJointTopicModel::Create(config, &ds);
+      ASSERT_TRUE(model.ok());
+      ASSERT_TRUE(model->RunSweeps(2).ok());
+      ds.documents[1].gel_feature[0] = std::nan("");
+      status = model->RunSweeps(3);
+    } else {
+      auto model = JointTopicModel::Create(config, &ds);
+      ASSERT_TRUE(model.ok());
+      ASSERT_TRUE(model->RunSweeps(2).ok());
+      ds.documents[1].gel_feature[0] = std::nan("");
+      status = model->RunSweeps(3);
+    }
+    EXPECT_FALSE(status.ok());
 
-  // Poison the corpus mid-run, as a corrupted feature pipeline would.
-  ds.documents[1].gel_feature[0] = std::nan("");
-  Status status = model->RunSweeps(3);
-  EXPECT_FALSE(status.ok());
-
-  // Every surviving checkpoint decodes cleanly and predates the poison.
-  std::vector<std::string> files = ListCheckpointFiles(config.checkpoint_dir);
-  ASSERT_FALSE(files.empty());
-  for (const std::string& file : files) {
-    auto state = ReadCheckpointFile(file);
-    ASSERT_TRUE(state.ok()) << file;
-    EXPECT_LE(state->completed_sweeps, 2) << file;
+    // Every surviving checkpoint decodes cleanly and predates the poison.
+    std::vector<std::string> files =
+        ListCheckpointFiles(config.checkpoint_dir);
+    ASSERT_FALSE(files.empty());
+    for (const std::string& file : files) {
+      auto state = ReadCheckpointFile(file);
+      ASSERT_TRUE(state.ok()) << file;
+      EXPECT_LE(state->completed_sweeps, 2) << file;
+    }
   }
 }
 

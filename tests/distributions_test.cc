@@ -228,7 +228,9 @@ TEST(NormalWishartTest, PosteriorUpdatesMatchConjugateFormulas) {
   // Three observations with mean 2 and scatter 8.
   Vector mean = {2.0};
   Matrix scatter = Matrix::Identity(1, 8.0);
-  NormalWishartParams post = prior.Posterior(3, mean, scatter);
+  auto posterior = prior.Posterior(3, mean, scatter);
+  ASSERT_TRUE(posterior.ok()) << posterior.status().ToString();
+  const NormalWishartParams& post = *posterior;
   EXPECT_DOUBLE_EQ(post.beta, 5.0);
   EXPECT_DOUBLE_EQ(post.nu, 6.0);
   EXPECT_NEAR(post.mu0[0], (3.0 * 2.0 + 2.0 * 0.0) / 5.0, 1e-12);
@@ -243,10 +245,27 @@ TEST(NormalWishartTest, PosteriorWithNoDataIsPrior) {
   prior.beta = 1.5;
   prior.nu = 4.0;
   prior.scale = Matrix::Identity(2, 0.3);
-  NormalWishartParams post = prior.Posterior(0, Vector(2), Matrix(2, 2));
+  auto posterior = prior.Posterior(0, Vector(2), Matrix(2, 2));
+  ASSERT_TRUE(posterior.ok()) << posterior.status().ToString();
+  const NormalWishartParams& post = *posterior;
   EXPECT_DOUBLE_EQ(post.beta, prior.beta);
   EXPECT_DOUBLE_EQ(post.nu, prior.nu);
   EXPECT_EQ(post.mu0, prior.mu0);
+}
+
+TEST(NormalWishartTest, PosteriorRejectsNonFiniteStatistics) {
+  // A NaN feature poisons the mean and scatter; the update must report it
+  // instead of returning a half-built posterior.
+  NormalWishartParams prior;
+  prior.mu0 = Vector{0.0, 0.0};
+  prior.beta = 1.0;
+  prior.nu = 4.0;
+  prior.scale = Matrix::Identity(2, 0.5);
+  Vector mean = {std::nan(""), 1.0};
+  Matrix scatter = Matrix::Identity(2, 1.0);
+  scatter(0, 0) = std::nan("");
+  EXPECT_FALSE(prior.Posterior(3, mean, scatter).ok());
+  EXPECT_FALSE(prior.PosteriorWeighted(1.5, mean, scatter).ok());
 }
 
 TEST(NormalWishartTest, PosteriorConcentratesWithData) {
@@ -258,11 +277,12 @@ TEST(NormalWishartTest, PosteriorConcentratesWithData) {
   prior.scale = Matrix::Identity(1, 1.0);
   Vector data_mean = {5.0};
   Matrix scatter = Matrix::Identity(1, 100.0);  // var 0.1 over 1000 points.
-  NormalWishartParams post = prior.Posterior(1000, data_mean, scatter);
+  auto post = prior.Posterior(1000, data_mean, scatter);
+  ASSERT_TRUE(post.ok()) << post.status().ToString();
   texrheo::Rng rng(12);
   RunningStats mu_stats;
   for (int i = 0; i < 500; ++i) {
-    auto g = NormalWishartSample(rng, post);
+    auto g = NormalWishartSample(rng, *post);
     ASSERT_TRUE(g.ok());
     mu_stats.Add(g->mean()[0]);
   }
