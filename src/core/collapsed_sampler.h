@@ -1,13 +1,12 @@
 #ifndef TEXRHEO_CORE_COLLAPSED_SAMPLER_H_
 #define TEXRHEO_CORE_COLLAPSED_SAMPLER_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/joint_topic_model.h"
+#include "core/parallel_gibbs.h"
 #include "math/student_t.h"
-#include "util/thread_pool.h"
 
 namespace texrheo::core {
 
@@ -92,19 +91,27 @@ class CollapsedJointTopicModel {
                            const recipe::Dataset* dataset);
 
   texrheo::Status Initialize();
+  /// Eq.-2 phase: the shard engine runs SweepZShard with the dense draw.
   void SampleZ();
+  /// Eq.-3 phase: SampleYShard over every shard. One shard updates the
+  /// live statistics in place (the serial chain); several each sample
+  /// against a private copy of the sweep-start statistics, which are then
+  /// rebuilt from the final y_. Returns the first failing shard's Status
+  /// in shard order.
   texrheo::Status SampleY();
-  /// Lazily builds the thread pool, shard plan, and per-shard RNG streams.
-  void EnsureParallelEngine();
-  void SampleZParallel();
-  texrheo::Status SampleYParallel();
+  /// The eq.-3 loop over documents [range.first, range.second) against
+  /// `gel` / `emu`, updated incrementally as each y moves.
+  texrheo::Status SampleYShard(std::pair<size_t, size_t> range, Rng& rng,
+                               std::vector<TopicStats>& gel,
+                               std::vector<TopicStats>& emu);
   /// Recomputes gel_stats_/emulsion_stats_ from scratch off the current y_
-  /// (the deterministic reduction after a parallel y sweep; also clears
+  /// (the deterministic reduction after a sharded y sweep; also clears
   /// incremental-remove round-off).
   void RebuildTopicStats();
-  /// Posterior predictive of topic k for the gel (or emulsion) family,
-  /// given the current sufficient statistics.
-  texrheo::StatusOr<math::StudentT> Predictive(int k, bool use_gel) const;
+  /// Posterior predictive of one topic's gel (or emulsion) family given its
+  /// sufficient statistics.
+  texrheo::StatusOr<math::StudentT> Predictive(const TopicStats& stats,
+                                               bool use_gel) const;
   CheckpointFingerprint MakeFingerprint() const;
   texrheo::Status MaybeWriteCheckpoint();
 
@@ -113,16 +120,12 @@ class CollapsedJointTopicModel {
   size_t vocab_size_ = 0;
   FileOps* checkpoint_file_ops_ = nullptr;  ///< Test seam; not owned.
   Rng rng_;
-  // Parallel engine (populated on first parallel sweep; see num_threads).
-  int resolved_threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::pair<size_t, size_t>> shards_;
-  std::vector<Rng> shard_rngs_;
+  ShardEngine engine_;  ///< Shard plan, pool, streams (see num_threads).
 
   std::vector<std::vector<int>> z_;
   std::vector<int> y_;
   std::vector<std::vector<int>> n_dk_;
-  std::vector<std::vector<int>> n_kv_;
+  std::vector<int> n_vk_;  ///< [v * K + k], term-major.
   std::vector<int> n_k_;
   std::vector<TopicStats> gel_stats_;
   std::vector<TopicStats> emulsion_stats_;

@@ -5,8 +5,8 @@
 #include <limits>
 
 #include "core/checkpoint.h"
+#include "core/fold_in.h"
 #include "core/joint_topic_model.h"
-#include "math/special.h"
 #include "util/crc32.h"
 
 namespace texrheo::serve {
@@ -281,7 +281,6 @@ StatusOr<std::vector<double>> ServingSnapshot::FoldInTheta(
     return Status::InvalidArgument("fold-in: alpha must be positive");
   }
   const core::TopicEstimates& est = estimates();
-  int k_count = num_topics();
   for (int32_t term : term_ids) {
     if (term < 0 || static_cast<size_t>(term) >= vocab_size()) {
       return Status::OutOfRange("fold-in: term id outside model vocabulary");
@@ -291,70 +290,21 @@ StatusOr<std::vector<double>> ServingSnapshot::FoldInTheta(
     return Status::InvalidArgument(
         "fold-in: gel feature dimension does not match model");
   }
-  // One phi view per topic, resolved up front (heap row or mapping).
-  std::vector<std::span<const double>> phi_rows;
-  phi_rows.reserve(static_cast<size_t>(k_count));
-  for (int k = 0; k < k_count; ++k) phi_rows.push_back(phi(k));
-
-  // Same two-block Gibbs scan as JointTopicModel::FoldInTheta, with the
+  // The same eq.-5 kernel as JointTopicModel::FoldInTheta, with the
   // collapsed count ratios replaced by the snapshot's phi point estimates.
-  std::vector<int> local_z(term_ids.size());
-  std::vector<int> local_n_k(static_cast<size_t>(k_count), 0);
-  for (size_t n = 0; n < term_ids.size(); ++n) {
-    int k = static_cast<int>(rng.NextUint(static_cast<uint64_t>(k_count)));
-    local_z[n] = k;
-    ++local_n_k[static_cast<size_t>(k)];
-  }
-  int local_y =
-      static_cast<int>(rng.NextUint(static_cast<uint64_t>(k_count)));
-
-  std::vector<double> weights(static_cast<size_t>(k_count));
-  std::vector<double> log_w(static_cast<size_t>(k_count));
-  for (int sweep = 0; sweep < sweeps; ++sweep) {
+  // Phi and the gel densities are fixed for the query, so both are looked
+  // up once here instead of once per sweep.
+  const size_t k_count = static_cast<size_t>(num_topics());
+  std::vector<double> term_weights(term_ids.size() * k_count);
+  std::vector<double> log_density(k_count);
+  for (size_t k = 0; k < k_count; ++k) {
+    std::span<const double> row = phi(static_cast<int>(k));
     for (size_t n = 0; n < term_ids.size(); ++n) {
-      size_t v = static_cast<size_t>(term_ids[n]);
-      --local_n_k[static_cast<size_t>(local_z[n])];
-      for (int k = 0; k < k_count; ++k) {
-        size_t ks = static_cast<size_t>(k);
-        weights[ks] = (static_cast<double>(local_n_k[ks]) +
-                       (local_y == k ? 1.0 : 0.0) + alpha) *
-                      phi_rows[ks][v];
-      }
-      double total = 0.0;
-      for (double w : weights) total += w;
-      if (total <= 0.0) {
-        // Every topic gives this term zero mass (possible after reload onto
-        // a model whose phi zeroes the term); fall back to the prior.
-        for (double& w : weights) w = 1.0;
-      }
-      local_z[n] = static_cast<int>(rng.NextCategorical(weights));
-      ++local_n_k[static_cast<size_t>(local_z[n])];
+      term_weights[n * k_count + k] = row[static_cast<size_t>(term_ids[n])];
     }
-    for (int k = 0; k < k_count; ++k) {
-      size_t ks = static_cast<size_t>(k);
-      double lw =
-          std::log(static_cast<double>(local_n_k[ks]) + alpha) +
-          est.gel_topics[ks].LogPdf(gel_feature);
-      log_w[ks] = lw;
-    }
-    double norm = math::LogSumExp(log_w.data(), log_w.size());
-    for (int k = 0; k < k_count; ++k) {
-      weights[static_cast<size_t>(k)] =
-          std::exp(log_w[static_cast<size_t>(k)] - norm);
-    }
-    local_y = static_cast<int>(rng.NextCategorical(weights));
+    log_density[k] = est.gel_topics[k].LogPdf(gel_feature);
   }
-
-  double n_d = static_cast<double>(term_ids.size());
-  double alpha_sum = alpha * static_cast<double>(k_count);
-  std::vector<double> theta(static_cast<size_t>(k_count));
-  for (int k = 0; k < k_count; ++k) {
-    size_t ks = static_cast<size_t>(k);
-    theta[ks] = (static_cast<double>(local_n_k[ks]) +
-                 (local_y == k ? 1.0 : 0.0) + alpha) /
-                (n_d + 1.0 + alpha_sum);
-  }
-  return theta;
+  return core::FoldInDocument(term_weights, log_density, sweeps, alpha, rng);
 }
 
 int ServingSnapshot::InferTopicForFeatures(
