@@ -745,6 +745,14 @@ TEST(QueryEngineTest, ReloadFromBinaryFileUnderLoadFailsZeroQueries) {
       }
     });
   }
+  // Mapping a file is fast enough that all 20 swaps can finish before a
+  // client thread is first scheduled on a loaded machine; start swapping
+  // only once queries are being served, so the swaps race live queries.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (served.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   for (int r = 0; r < 20; ++r) {
     std::string idx = (r % 2 == 0 ? base_b : base_a) + ".idx";
     ASSERT_TRUE((*engine)->ReloadFromFile(idx).ok());
