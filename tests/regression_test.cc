@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "core/collapsed_sampler.h"
 #include "core/joint_topic_model.h"
 #include "core/serialization.h"
+#include "embed/embedding.h"
+#include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -388,3 +391,161 @@ TEST(TrajectoryPinTest, ServingFoldInThetaBytes) {
 
 }  // namespace
 }  // namespace texrheo::core
+
+namespace texrheo::serve {
+namespace {
+
+// --- SIMILAR answer pins --------------------------------------------------
+//
+// Pins the (recipe_index, divergence bits) pairs SimilarRecipes returns in
+// every mode, at the default size and at n=3, over an in-test corpus and a
+// hand-built embedding table. Emulsion ratios are drawn from a continuous
+// range, so no two recipes tie in KL and every order below is fixed by the
+// distances alone. A refactor of the ranking must keep every value.
+
+constexpr const char* kPinTerms[] = {"katai",      "purupuru", "fuwafuwa",
+                                     "mochimochi", "sakusaku", "toromi"};
+
+math::Gaussian PinGaussian(double mean, size_t dim) {
+  auto g = math::Gaussian::FromPrecision(math::Vector(dim, mean),
+                                         math::Matrix::Identity(dim, 4.0));
+  EXPECT_TRUE(g.ok());
+  return *g;
+}
+
+core::ModelSnapshot SimilarPinModel() {
+  core::ModelSnapshot model;
+  for (const char* term : kPinTerms) model.vocab.Add(term);
+  model.estimates.phi = {{0.40, 0.05, 0.05, 0.10, 0.30, 0.10},
+                         {0.05, 0.45, 0.25, 0.10, 0.05, 0.10},
+                         {0.10, 0.05, 0.10, 0.40, 0.05, 0.30}};
+  model.estimates.gel_topics = {PinGaussian(1.5, 3), PinGaussian(3.5, 3),
+                                PinGaussian(5.5, 3)};
+  model.estimates.emulsion_topics = {PinGaussian(1.0, 6), PinGaussian(2.0, 6),
+                                     PinGaussian(3.0, 6)};
+  model.estimates.topic_recipe_count = {30, 30, 30};
+  return model;
+}
+
+embed::EmbeddingTable SimilarPinEmbeddings() {
+  embed::EmbeddingTable table;
+  table.dim = 4;
+  table.vectors = {
+      0.81f,  -0.12f, 0.33f,  0.05f,   // katai
+      -0.27f, 0.74f,  0.18f,  -0.41f,  // purupuru
+      -0.35f, 0.52f,  0.61f,  0.09f,   // fuwafuwa
+      0.14f,  0.23f,  -0.66f, 0.58f,   // mochimochi
+      0.69f,  0.31f,  -0.08f, -0.22f,  // sakusaku
+      0.02f,  -0.47f, 0.36f,  0.71f,   // toromi
+  };
+  table.RecomputeNorms();
+  return table;
+}
+
+/// 90 recipes, 30 per planted topic. The corpus vocabulary lists the model
+/// terms in reverse plus one word the model lacks, so the engine's remap
+/// into the snapshot's ids is exercised too.
+recipe::Dataset SimilarPinCorpus() {
+  recipe::Dataset ds;
+  ds.term_vocab.Add("zz-not-in-model");
+  for (size_t v = std::size(kPinTerms); v-- > 0;) {
+    ds.term_vocab.Add(kPinTerms[v]);
+  }
+  Rng rng(20260417);
+  for (size_t d = 0; d < 90; ++d) {
+    const size_t cluster = d % 3;
+    recipe::Document doc;
+    doc.recipe_index = d;
+    const uint64_t length = 1 + rng.NextUint(4);
+    for (uint64_t n = 0; n < length; ++n) {
+      const uint64_t id = rng.NextDouble() < 0.7 ? 1 + cluster * 2 +
+                                                       rng.NextUint(2)
+                                                 : rng.NextUint(7);
+      doc.term_ids.push_back(static_cast<int32_t>(id));
+    }
+    doc.gel_feature = math::Vector(3);
+    doc.gel_concentration = math::Vector(3);
+    for (size_t i = 0; i < 3; ++i) {
+      doc.gel_feature[i] =
+          1.5 + 2.0 * static_cast<double>(cluster) + 0.3 * rng.NextGaussian();
+      doc.gel_concentration[i] = std::exp(-doc.gel_feature[i]);
+    }
+    doc.emulsion_feature = math::Vector(6, 1.0);
+    doc.emulsion_concentration = math::Vector(6);
+    for (size_t i = 0; i < 6; ++i) {
+      doc.emulsion_concentration[i] = rng.NextUniform(0.0, 0.3);
+    }
+    ds.documents.push_back(std::move(doc));
+  }
+  return ds;
+}
+
+TextureQuery PinQuery(double gel, std::vector<double> emulsion,
+                      std::vector<std::string> terms) {
+  TextureQuery query;
+  query.gel_concentration = math::Vector(3, gel);
+  if (!emulsion.empty()) {
+    query.emulsion_concentration = math::Vector(std::move(emulsion));
+  }
+  query.texture_terms = std::move(terms);
+  return query;
+}
+
+struct SimilarPin {
+  SimilarityMode mode;
+  uint32_t crc;
+};
+
+TEST(SimilarPinTest, RankingBytesPerMode) {
+  const std::vector<TextureQuery> queries = {
+      PinQuery(0.2, {0.05, 0.1, 0.0, 0.2, 0.02, 0.1}, {}),
+      PinQuery(0.03, {0.0, 0.25, 0.05, 0.0, 0.1, 0.0},
+               {"purupuru", "fuwafuwa", "purupuru"}),
+      PinQuery(0.004, {0.1, 0.1, 0.1, 0.0, 0.0, 0.3}, {}),
+      PinQuery(0.005, {}, {"sakusaku", "katai", "sakusaku"}),
+      PinQuery(0.2, {0.3, 0.0, 0.0, 0.01, 0.0, 0.2}, {"fuwafuwa"}),
+  };
+  const SimilarPin kPins[] = {
+      {SimilarityMode::kKl, 0x6f89787fu},
+      {SimilarityMode::kEmbed, 0x054a8548u},
+      {SimilarityMode::kLexical, 0x02c938c0u},
+      {SimilarityMode::kFused, 0xb83f7efdu},
+  };
+  recipe::Dataset corpus = SimilarPinCorpus();
+  for (const SimilarPin& pin : kPins) {
+    SCOPED_TRACE(SimilarityModeName(pin.mode));
+    auto snapshot = ServingSnapshot::FromModel(SimilarPinModel(), "pin",
+                                               SimilarPinEmbeddings());
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    QueryEngineConfig config;
+    config.fold_in_sweeps = 10;
+    config.batch_linger_micros = 0;
+    auto engine = QueryEngine::Create(config, *snapshot, &corpus);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::string bytes;
+    for (const TextureQuery& query : queries) {
+      // embed needs a term to build its query vector.
+      if (pin.mode == SimilarityMode::kEmbed && query.texture_terms.empty()) {
+        continue;
+      }
+      for (size_t n : {size_t{0}, size_t{3}}) {
+        auto result =
+            (*engine)->SimilarRecipes(query, n, kNoDeadline, 0, pin.mode);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_FALSE(result->recipes.empty());
+        for (const SimilarRecipe& r : result->recipes) {
+          const uint64_t index = r.recipe_index;
+          uint64_t bits = 0;
+          std::memcpy(&bits, &r.divergence, sizeof(bits));
+          bytes.append(reinterpret_cast<const char*>(&index), sizeof(index));
+          bytes.append(reinterpret_cast<const char*>(&bits), sizeof(bits));
+        }
+      }
+    }
+    const uint32_t crc = Crc32(bytes);
+    EXPECT_EQ(crc, pin.crc) << "actual 0x" << std::hex << crc;
+  }
+}
+
+}  // namespace
+}  // namespace texrheo::serve
