@@ -45,6 +45,7 @@ class CommandHandler {
 ///   PREDICT <name=ratio[,name=ratio...]|-> [terms=a,b,...]
 ///   NEAREST <topic> [method=gaussian-kl|neg-log-density|mahalanobis|euclidean]
 ///   SIMILAR <name=ratio[,...]|-> [terms=a,b,...] [n=N]
+///           [mode=kl|embed|lexical|fused]
 ///   TOPIC <k>
 ///   RELOAD <model-file>
 ///   INGESTZ
@@ -53,6 +54,9 @@ class CommandHandler {
 ///   QUIT
 ///
 /// "-" stands for an empty ingredient list (texture-terms-only query).
+/// Numeric fields parse strictly or get ERR InvalidArgument: N is a whole
+/// unsigned decimal below 2^32 (0 = the engine default), and <topic> / <k>
+/// are decimal ints.
 /// STATSZ and METRICSZ render from one MetricsSnapshot of the engine's
 /// registry, so the two pages (and any two counters within one page)
 /// can never contradict each other.

@@ -115,6 +115,19 @@ TEST_F(ServerTest, MalformedCommandsGetErrNotDisconnect) {
     ASSERT_TRUE(reply.ok()) << bad;
     EXPECT_EQ(reply->rfind("ERR", 0), 0u) << bad << " -> " << *reply;
   }
+  // Numeric fields parse strictly: n= is a whole unsigned 32-bit decimal
+  // and a topic index fits in an int. These fail in the parser, before the
+  // engine could answer FailedPrecondition (this fixture has no corpus).
+  for (const char* bad :
+       {"SIMILAR gelatin=0.01 n=-1", "SIMILAR gelatin=0.01 n=abc",
+        "SIMILAR gelatin=0.01 n=5x", "SIMILAR gelatin=0.01 n=",
+        "SIMILAR gelatin=0.01 n=+5", "SIMILAR gelatin=0.01 n=4294967296",
+        "TOPIC 4294967297", "TOPIC 1x", "NEAREST -4294967295"}) {
+    auto reply = (*client)->RoundTrip(bad);
+    ASSERT_TRUE(reply.ok()) << bad;
+    EXPECT_EQ(reply->rfind("ERR InvalidArgument", 0), 0u)
+        << bad << " -> " << *reply;
+  }
   // The connection survived all of it.
   auto reply = (*client)->RoundTrip("PING");
   ASSERT_TRUE(reply.ok());
