@@ -37,8 +37,8 @@ struct EmbeddingTable {
 
 /// Non-owning span view of an embedding table. One interface over both
 /// storage paths: a heap EmbeddingTable and the mmapped model-binary
-/// sections serve through the same view, so consumers (EmbeddingIndex, the
-/// query engine) cannot tell them apart — which is what makes the
+/// sections serve through the same view, so consumers (the query engine's
+/// doc store) cannot tell them apart — which is what makes the
 /// heap-vs-mmap byte-identical-responses guarantee testable.
 struct EmbeddingView {
   size_t vocab = 0;

@@ -3,10 +3,8 @@
 #include <cmath>
 
 namespace texrheo::math {
-namespace {
 
-// Normalizes weights + smoothing into a probability vector.
-texrheo::StatusOr<Vector> Normalize(const Vector& w, double smoothing) {
+texrheo::StatusOr<Vector> NormalizeWeights(const Vector& w, double smoothing) {
   if (w.empty()) return Status::InvalidArgument("empty distribution");
   Vector p(w.size());
   double total = 0.0;
@@ -24,21 +22,23 @@ texrheo::StatusOr<Vector> Normalize(const Vector& w, double smoothing) {
   return p;
 }
 
-}  // namespace
+double NormalizedKL(const Vector& p, const Vector& q) {
+  double kl = 0.0;
+  for (size_t i = 0; i < p.size(); ++i) {
+    if (p[i] > 0.0) kl += p[i] * std::log(p[i] / q[i]);
+  }
+  // Guard tiny negative round-off.
+  return kl < 0.0 ? 0.0 : kl;
+}
 
 texrheo::StatusOr<double> DiscreteKL(const Vector& p, const Vector& q,
                                      double smoothing) {
   if (p.size() != q.size()) {
     return Status::InvalidArgument("KL: length mismatch");
   }
-  TEXRHEO_ASSIGN_OR_RETURN(Vector pn, Normalize(p, smoothing));
-  TEXRHEO_ASSIGN_OR_RETURN(Vector qn, Normalize(q, smoothing));
-  double kl = 0.0;
-  for (size_t i = 0; i < pn.size(); ++i) {
-    if (pn[i] > 0.0) kl += pn[i] * std::log(pn[i] / qn[i]);
-  }
-  // Guard tiny negative round-off.
-  return kl < 0.0 ? 0.0 : kl;
+  TEXRHEO_ASSIGN_OR_RETURN(Vector pn, NormalizeWeights(p, smoothing));
+  TEXRHEO_ASSIGN_OR_RETURN(Vector qn, NormalizeWeights(q, smoothing));
+  return NormalizedKL(pn, qn);
 }
 
 texrheo::StatusOr<double> SymmetricDiscreteKL(const Vector& p, const Vector& q,
@@ -53,8 +53,8 @@ texrheo::StatusOr<double> JensenShannon(const Vector& p, const Vector& q,
   if (p.size() != q.size()) {
     return Status::InvalidArgument("JS: length mismatch");
   }
-  TEXRHEO_ASSIGN_OR_RETURN(Vector pn, Normalize(p, smoothing));
-  TEXRHEO_ASSIGN_OR_RETURN(Vector qn, Normalize(q, smoothing));
+  TEXRHEO_ASSIGN_OR_RETURN(Vector pn, NormalizeWeights(p, smoothing));
+  TEXRHEO_ASSIGN_OR_RETURN(Vector qn, NormalizeWeights(q, smoothing));
   double js = 0.0;
   for (size_t i = 0; i < pn.size(); ++i) {
     double m = 0.5 * (pn[i] + qn[i]);
@@ -69,8 +69,8 @@ texrheo::StatusOr<double> Hellinger(const Vector& p, const Vector& q,
   if (p.size() != q.size()) {
     return Status::InvalidArgument("Hellinger: length mismatch");
   }
-  TEXRHEO_ASSIGN_OR_RETURN(Vector pn, Normalize(p, smoothing));
-  TEXRHEO_ASSIGN_OR_RETURN(Vector qn, Normalize(q, smoothing));
+  TEXRHEO_ASSIGN_OR_RETURN(Vector pn, NormalizeWeights(p, smoothing));
+  TEXRHEO_ASSIGN_OR_RETURN(Vector qn, NormalizeWeights(q, smoothing));
   double bc = 0.0;  // Bhattacharyya coefficient.
   for (size_t i = 0; i < pn.size(); ++i) bc += std::sqrt(pn[i] * qn[i]);
   double h2 = 1.0 - bc;

@@ -16,6 +16,16 @@ namespace texrheo::math {
 texrheo::StatusOr<double> DiscreteKL(const Vector& p, const Vector& q,
                                      double smoothing = 1e-6);
 
+/// DiscreteKL's first step: `smoothing` added to every non-negative weight,
+/// then scaled to sum to one. Callers comparing many distributions against
+/// one normalize each once and call NormalizedKL per pair, with results
+/// bit-identical to DiscreteKL's.
+texrheo::StatusOr<Vector> NormalizeWeights(const Vector& w, double smoothing);
+
+/// DiscreteKL's second step: KL(p || q) over two NormalizeWeights results
+/// of equal length.
+double NormalizedKL(const Vector& p, const Vector& q);
+
 /// Symmetrized KL: KL(p||q) + KL(q||p).
 texrheo::StatusOr<double> SymmetricDiscreteKL(const Vector& p, const Vector& q,
                                               double smoothing = 1e-6);

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
+#include <numeric>
 #include <sstream>
 
-#include "eval/figures.h"
-#include "math/divergence.h"
 #include "recipe/features.h"
 #include "recipe/ingredient.h"
 #include "serve/cache.h"
@@ -44,42 +42,6 @@ class QueryScope {
 
 math::Vector OrZeros(const math::Vector& v, size_t dim) {
   return v.empty() ? math::Vector(dim) : v;
-}
-
-/// One backend's full ranking of a topic's member documents.
-struct RankedDoc {
-  size_t doc = 0;
-  double distance = 0.0;
-};
-
-void SortRanking(std::vector<RankedDoc>& ranking) {
-  std::sort(ranking.begin(), ranking.end(),
-            [](const RankedDoc& a, const RankedDoc& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.doc < b.doc;  // Deterministic among ties.
-            });
-}
-
-/// 1 - Jaccard of two sorted-unique id sets (1.0 when either is empty).
-double JaccardDistance(const std::vector<int32_t>& a,
-                       const std::vector<int32_t>& b) {
-  if (a.empty() || b.empty()) return 1.0;
-  size_t i = 0;
-  size_t j = 0;
-  size_t both = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++both;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  size_t either = a.size() + b.size() - both;
-  return 1.0 - static_cast<double>(both) / static_cast<double>(either);
 }
 
 }  // namespace
@@ -239,38 +201,29 @@ std::shared_ptr<const QueryEngine::ServingState> QueryEngine::BuildState(
     std::shared_ptr<const ServingSnapshot> snapshot,
     const recipe::Dataset* corpus) {
   auto state = std::make_shared<ServingState>();
-  state->topic_docs.resize(static_cast<size_t>(snapshot->num_topics()));
+  state->docs = std::make_unique<DocStore>(snapshot->num_topics(),
+                                           snapshot->embedding_view());
   if (corpus != nullptr) {
-    for (size_t d = 0; d < corpus->documents.size(); ++d) {
-      int k = snapshot->InferTopicForFeatures(
-          corpus->documents[d].gel_feature);
-      state->topic_docs[static_cast<size_t>(k)].push_back(d);
-    }
     // Remap each document's term bag into the snapshot's vocabulary via
     // surface forms: the corpus may have been indexed against a different
-    // (or older) model, so corpus ids are not trusted to line up. The
-    // result is sorted-unique — both consumers treat the bag as a set.
+    // (or older) model, so corpus ids are not trusted to line up.
     std::vector<int32_t> remap(corpus->term_vocab.size(),
                                text::Vocabulary::kUnknownId);
     for (size_t v = 0; v < corpus->term_vocab.size(); ++v) {
       remap[v] =
           snapshot->WordId(corpus->term_vocab.WordOf(static_cast<int32_t>(v)));
     }
-    state->doc_terms.resize(corpus->documents.size());
-    for (size_t d = 0; d < corpus->documents.size(); ++d) {
-      std::vector<int32_t>& terms = state->doc_terms[d];
-      terms.reserve(corpus->documents[d].term_ids.size());
-      for (int32_t id : corpus->documents[d].term_ids) {
+    for (const recipe::Document& doc : corpus->documents) {
+      std::vector<int32_t> terms;
+      terms.reserve(doc.term_ids.size());
+      for (int32_t id : doc.term_ids) {
         if (id < 0 || static_cast<size_t>(id) >= remap.size()) continue;
         int32_t mapped = remap[static_cast<size_t>(id)];
         if (mapped != text::Vocabulary::kUnknownId) terms.push_back(mapped);
       }
-      std::sort(terms.begin(), terms.end());
-      terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-    }
-    if (snapshot->has_embeddings()) {
-      state->embedding_index = std::make_unique<embed::EmbeddingIndex>(
-          snapshot->embedding_view(), state->doc_terms);
+      state->docs->AppendBase(state->docs->Prepare(
+          snapshot->InferTopicForFeatures(doc.gel_feature),
+          doc.emulsion_concentration, std::move(terms)));
     }
   }
   state->snapshot = std::move(snapshot);
@@ -295,7 +248,7 @@ std::vector<int32_t> QueryEngine::ResolveTerms(
 Status QueryEngine::CheckTermFreshness(
     const ServingSnapshot& snapshot, const std::vector<std::string>& terms) {
   if (terms.empty()) return Status::OK();
-  std::lock_guard<std::mutex> lock(delta_mu_);
+  std::lock_guard<std::mutex> lock(pending_mu_);
   if (pending_terms_.empty()) return Status::OK();
   for (const std::string& term : terms) {
     if (snapshot.WordId(term) != text::Vocabulary::kUnknownId) continue;
@@ -308,16 +261,6 @@ Status QueryEngine::CheckTermFreshness(
     }
   }
   return Status::OK();
-}
-
-std::vector<std::pair<size_t, QueryEngine::DeltaDoc>> QueryEngine::DeltaOfTopic(
-    int topic) const {
-  std::vector<std::pair<size_t, DeltaDoc>> out;
-  std::lock_guard<std::mutex> lock(delta_mu_);
-  for (size_t i = 0; i < delta_docs_.size(); ++i) {
-    if (delta_docs_[i].topic == topic) out.emplace_back(i, delta_docs_[i]);
-  }
-  return out;
 }
 
 Status QueryEngine::ValidateQuery(const TextureQuery& query) const {
@@ -517,7 +460,7 @@ StatusOr<SimilarRecipesResult> QueryEngine::SimilarRecipes(
 
   const bool needs_embeddings =
       mode == SimilarityMode::kEmbed || mode == SimilarityMode::kFused;
-  if (needs_embeddings && state->embedding_index == nullptr) {
+  if (needs_embeddings && !snapshot.has_embeddings()) {
     return Status::FailedPrecondition(
         std::string("similar-recipes mode=") + SimilarityModeName(mode) +
         " requires a model packed with ingredient embeddings (this snapshot "
@@ -566,177 +509,60 @@ StatusOr<SimilarRecipesResult> QueryEngine::SimilarRecipes(
     result.topic = prediction.topic;
   }
 
-  const std::vector<size_t>& members =
-      state->topic_docs[static_cast<size_t>(result.topic)];
-
-  // Backends, each producing a full ascending ranking of `members`.
-  auto rank_kl = [&]() -> StatusOr<std::vector<RankedDoc>> {
-    auto ranked_or = eval::RankByEmulsionKL(*corpus_, members, emulsion);
-    if (!ranked_or.ok()) return ranked_or.status();
-    std::vector<RankedDoc> ranking;
-    ranking.reserve(ranked_or->size());
-    for (const eval::RankedRecipe& r : *ranked_or) {
-      ranking.push_back(RankedDoc{r.doc_index, r.divergence});
-    }
-    return ranking;
-  };
-  auto rank_embed = [&]() {
-    std::vector<embed::EmbeddingIndex::Ranked> ranked =
-        state->embedding_index->RankByCosine(term_ids, members);
-    std::vector<RankedDoc> ranking;
-    ranking.reserve(ranked.size());
-    for (const auto& r : ranked) {
-      ranking.push_back(RankedDoc{r.doc, r.distance});
-    }
-    return ranking;
-  };
-  auto rank_lexical = [&]() {
-    std::vector<RankedDoc> ranking;
-    ranking.reserve(members.size());
-    for (size_t d : members) {
-      ranking.push_back(
-          RankedDoc{d, JaccardDistance(term_ids, state->doc_terms[d])});
-    }
-    SortRanking(ranking);
-    return ranking;
-  };
-
-  std::vector<RankedDoc> ranking;
-  // Fused mode keeps its backend rankings so streamed-delta documents can
-  // be scored by insertion rank below.
-  std::vector<RankedDoc> kl_rank;
-  std::vector<RankedDoc> embed_rank;
-  std::vector<RankedDoc> lex_rank;
-  if (mode == SimilarityMode::kKl) {
-    auto kl_or = rank_kl();
-    if (!kl_or.ok()) {
-      errors_->Increment();
-      return kl_or.status();
-    }
-    ranking = *std::move(kl_or);
-  } else if (mode == SimilarityMode::kEmbed) {
-    ranking = rank_embed();
-  } else if (mode == SimilarityMode::kLexical) {
-    ranking = rank_lexical();
-  } else {
-    // Weighted reciprocal-rank fusion. Every member appears in every
-    // backend's full ranking, so each accumulates all three contributions.
-    // With no usable terms the embed and lexical perspectives carry no
-    // signal (all-tied rankings) and fusion degrades toward pure KL order.
-    auto kl_or = rank_kl();
-    if (!kl_or.ok()) {
-      errors_->Increment();
-      return kl_or.status();
-    }
-    kl_rank = *std::move(kl_or);
-    if (!term_ids.empty()) {
-      embed_rank = rank_embed();
-      lex_rank = rank_lexical();
-    }
-    std::vector<double> score(corpus_->documents.size(), 0.0);
-    auto accumulate = [&](const std::vector<RankedDoc>& backend, double w) {
-      for (size_t r = 0; r < backend.size(); ++r) {
-        score[backend[r].doc] +=
-            w / (config_.fusion_rrf_k + static_cast<double>(r + 1));
-      }
-    };
-    accumulate(kl_rank, config_.fusion_kl_weight);
-    if (!term_ids.empty()) {
-      accumulate(embed_rank, config_.fusion_embed_weight);
-      accumulate(lex_rank, config_.fusion_lexical_weight);
-    }
-    ranking.reserve(members.size());
-    // Negated so "ascending divergence = nearest first" holds for fused
-    // results too.
-    for (size_t d : members) ranking.push_back(RankedDoc{d, -score[d]});
-    SortRanking(ranking);
-  }
-
-  // --- Streamed delta: recipes folded in since the last reload -----------
-  // Delta members of the query's topic join the ranking under the same
-  // distance as the corpus members; their recipe_index starts at the
-  // corpus size, which is how the protocol layer tells them apart.
-  std::vector<std::pair<size_t, DeltaDoc>> delta = DeltaOfTopic(result.topic);
-  if (!delta.empty()) {
-    const size_t base = corpus_->documents.size();
-    std::vector<float> query_vec;
-    double query_norm = 0.0;
-    if (state->embedding_index != nullptr) {
-      query_vec = state->embedding_index->MeanVector(term_ids);
-      for (float x : query_vec) query_norm += static_cast<double>(x) * x;
-      query_norm = std::sqrt(query_norm);
-    }
-    auto kl_dist = [&](const DeltaDoc& doc) {
-      auto kl = math::DiscreteKL(doc.emulsion_concentration, emulsion, 1e-4);
-      return kl.ok() ? *kl : std::numeric_limits<double>::infinity();
-    };
-    auto embed_dist = [&](const DeltaDoc& doc) {
-      if (state->embedding_index == nullptr) return 2.0;
-      std::vector<float> doc_vec =
-          state->embedding_index->MeanVector(doc.term_ids);
-      double doc_norm = 0.0;
-      double dot = 0.0;
-      for (size_t i = 0; i < doc_vec.size(); ++i) {
-        doc_norm += static_cast<double>(doc_vec[i]) * doc_vec[i];
-        dot += static_cast<double>(doc_vec[i]) * query_vec[i];
-      }
-      doc_norm = std::sqrt(doc_norm);
-      // Same zero-norm sentinel as EmbeddingIndex::CosineDistance.
-      if (doc_norm == 0.0 || query_norm == 0.0) return 2.0;
-      return 1.0 - dot / (doc_norm * query_norm);
-    };
-    auto lex_dist = [&](const DeltaDoc& doc) {
-      return JaccardDistance(term_ids, doc.term_ids);
-    };
-    // 1-based rank the distance would take in an ascending backend ranking.
-    auto insertion_rank = [](const std::vector<RankedDoc>& sorted,
-                             double dist) {
-      size_t lo = 0;
-      size_t hi = sorted.size();
-      while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (sorted[mid].distance < dist) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
+  // Every candidate of the topic, corpus and streamed alike, is scored by
+  // the same distance against the same prepared query.
+  const DocStore& docs = *state->docs;
+  const SimilarDoc probe =
+      docs.Prepare(result.topic, emulsion, std::move(term_ids));
+  const std::vector<const SimilarDoc*> candidates =
+      docs.Candidates(result.topic);
+  std::vector<SimilarRecipe> ranking;
+  switch (mode) {
+    case SimilarityMode::kKl:
+      ranking = Score(KlDistance, probe, candidates);
+      break;
+    case SimilarityMode::kEmbed:
+      ranking = Score(CosineDistance, probe, candidates);
+      break;
+    case SimilarityMode::kLexical:
+      ranking = Score(JaccardDistance, probe, candidates);
+      break;
+    case SimilarityMode::kFused: {
+      // Weighted reciprocal-rank fusion: each backend ranks every candidate
+      // in the one Nearer order, so each accumulates all three
+      // contributions. With no usable terms the embed and lexical
+      // perspectives carry no signal and fusion reduces to kl order.
+      std::vector<double> score(candidates.size(), 0.0);
+      auto accumulate = [&](DocDistance distance, double weight) {
+        const std::vector<SimilarRecipe> backend =
+            Score(distance, probe, candidates);
+        std::vector<size_t> order(backend.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::sort(order.begin(), order.end(), [&backend](size_t a, size_t b) {
+          return Nearer(backend[a], backend[b]);
+        });
+        for (size_t r = 0; r < order.size(); ++r) {
+          score[order[r]] +=
+              weight / (config_.fusion_rrf_k + static_cast<double>(r + 1));
         }
+      };
+      accumulate(KlDistance, config_.fusion_kl_weight);
+      if (!probe.terms.empty()) {
+        accumulate(CosineDistance, config_.fusion_embed_weight);
+        accumulate(JaccardDistance, config_.fusion_lexical_weight);
       }
-      return static_cast<double>(lo + 1);
-    };
-    for (const auto& [i, doc] : delta) {
-      double dist = 0.0;
-      if (mode == SimilarityMode::kKl) {
-        dist = kl_dist(doc);
-      } else if (mode == SimilarityMode::kEmbed) {
-        dist = embed_dist(doc);
-      } else if (mode == SimilarityMode::kLexical) {
-        dist = lex_dist(doc);
-      } else {
-        double score = config_.fusion_kl_weight /
-                       (config_.fusion_rrf_k +
-                        insertion_rank(kl_rank, kl_dist(doc)));
-        if (!term_ids.empty()) {
-          score += config_.fusion_embed_weight /
-                   (config_.fusion_rrf_k +
-                    insertion_rank(embed_rank, embed_dist(doc)));
-          score += config_.fusion_lexical_weight /
-                   (config_.fusion_rrf_k +
-                    insertion_rank(lex_rank, lex_dist(doc)));
-        }
-        dist = -score;
+      // Negated so "ascending divergence = nearest first" holds for fused
+      // results too.
+      ranking.reserve(candidates.size());
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        ranking.push_back(
+            SimilarRecipe{candidates[i]->recipe_index, -score[i]});
       }
-      ranking.push_back(RankedDoc{base + i, dist});
+      break;
     }
-    SortRanking(ranking);
   }
-
-  size_t keep = top_n == 0 ? config_.max_similar : top_n;
-  keep = std::min(keep, ranking.size());
-  result.recipes.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    result.recipes.push_back(
-        SimilarRecipe{ranking[i].doc, ranking[i].distance});
-  }
+  KeepNearest(ranking, top_n == 0 ? config_.max_similar : top_n);
+  result.recipes = std::move(ranking);
   similar_cache_.Put(key, result);
   return result;
 }
@@ -777,6 +603,11 @@ StatusOr<int> QueryEngine::FoldInDelta(const TextureQuery& query,
   TEXRHEO_RETURN_IF_ERROR(ValidateQuery(query));
   std::shared_ptr<const ServingState> state = this->state();
   const ServingSnapshot& snapshot = *state->snapshot;
+  // An Ingest racing a Refresh can fold one record twice against the same
+  // state; the delta keeps it once.
+  if (std::optional<int> resident = state->docs->DeltaTopic(ingest_sequence)) {
+    return *resident;
+  }
 
   math::Vector gel = OrZeros(query.gel_concentration, recipe::kNumGelTypes);
   math::Vector emulsion =
@@ -802,16 +633,14 @@ StatusOr<int> QueryEngine::FoldInDelta(const TextureQuery& query,
     errors_->Increment();
     return theta.status();
   }
-  DeltaDoc doc;
-  doc.ingest_sequence = ingest_sequence;
-  doc.topic = static_cast<int>(
+  const int topic = static_cast<int>(
       std::max_element(theta->begin(), theta->end()) - theta->begin());
-  doc.emulsion_concentration = std::move(emulsion);
-  doc.term_ids = std::move(term_ids);
-  const int topic = doc.topic;
-  {
-    std::lock_guard<std::mutex> lock(delta_mu_);
-    delta_docs_.push_back(std::move(doc));
+  // Appended to the state the ids were resolved against: a Reload since
+  // then published a new state whose delta this record never enters.
+  if (std::optional<int> resident = state->docs->AppendDelta(
+          ingest_sequence,
+          state->docs->Prepare(topic, emulsion, std::move(term_ids)))) {
+    return *resident;
   }
   delta_folded_->Increment();
   delta_generation_.fetch_add(1, std::memory_order_acq_rel);
@@ -822,7 +651,7 @@ void QueryEngine::NotePendingTerms(const std::vector<std::string>& terms) {
   if (terms.empty()) return;
   std::shared_ptr<const ServingState> state = this->state();
   const ServingSnapshot& snapshot = *state->snapshot;
-  std::lock_guard<std::mutex> lock(delta_mu_);
+  std::lock_guard<std::mutex> lock(pending_mu_);
   for (const std::string& term : terms) {
     if (snapshot.WordId(term) == text::Vocabulary::kUnknownId) {
       pending_terms_.insert(term);
@@ -835,8 +664,8 @@ DeltaStats QueryEngine::GetDeltaStats() const {
   stats.folded = delta_folded_->Value();
   stats.stale_vocab_queries = stale_vocab_->Value();
   stats.delta_generation = delta_generation_.load(std::memory_order_acquire);
-  std::lock_guard<std::mutex> lock(delta_mu_);
-  stats.delta_docs = delta_docs_.size();
+  stats.delta_docs = state()->docs->delta_size();
+  std::lock_guard<std::mutex> lock(pending_mu_);
   stats.pending_terms = pending_terms_.size();
   return stats;
 }
@@ -874,15 +703,14 @@ Status QueryEngine::Reload(std::shared_ptr<const ServingSnapshot> snapshot) {
   // compare fingerprints.
   cache_.Clear();
   similar_cache_.Clear();
-  // The refreshed model has absorbed the streamed recipes (the ingest
-  // layer re-folds any the refresh did not cover), so the resident delta
-  // is dropped wholesale; pending terms now present in the new vocabulary
-  // resolve and stop failing queries.
+  // The new state starts with an empty delta: the refreshed model has
+  // absorbed the streamed recipes (the ingest layer re-folds any the
+  // refresh did not cover). Pending terms now present in the new
+  // vocabulary resolve and stop failing queries.
   {
     std::shared_ptr<const ServingState> current = this->state();
     const ServingSnapshot& snap = *current->snapshot;
-    std::lock_guard<std::mutex> lock(delta_mu_);
-    delta_docs_.clear();
+    std::lock_guard<std::mutex> lock(pending_mu_);
     for (auto it = pending_terms_.begin(); it != pending_terms_.end();) {
       if (snap.WordId(*it) != text::Vocabulary::kUnknownId) {
         it = pending_terms_.erase(it);
@@ -930,9 +758,9 @@ void QueryEngine::RefreshDerivedGauges() const {
   cache_capacity_->Set(static_cast<double>(cache.capacity));
   cache_evictions_->Set(static_cast<double>(cache.evictions));
   cache_insertions_->Set(static_cast<double>(cache.insertions));
+  delta_docs_gauge_->Set(static_cast<double>(state()->docs->delta_size()));
   {
-    std::lock_guard<std::mutex> lock(delta_mu_);
-    delta_docs_gauge_->Set(static_cast<double>(delta_docs_.size()));
+    std::lock_guard<std::mutex> lock(pending_mu_);
     pending_terms_gauge_->Set(static_cast<double>(pending_terms_.size()));
   }
 }

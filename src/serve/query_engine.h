@@ -12,13 +12,13 @@
 #include <vector>
 
 #include "core/linkage.h"
-#include "embed/embedding_index.h"
 #include "math/linalg.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recipe/dataset.h"
 #include "rheology/empirical_data.h"
 #include "serve/batcher.h"
+#include "serve/doc_store.h"
 #include "serve/snapshot.h"
 #include "util/histogram.h"
 #include "util/lru_cache.h"
@@ -155,14 +155,6 @@ const char* SimilarityModeName(SimilarityMode mode);
 /// Inverse of SimilarityModeName; InvalidArgument on anything else.
 StatusOr<SimilarityMode> ParseSimilarityMode(std::string_view name);
 
-struct SimilarRecipe {
-  size_t recipe_index = 0;  ///< Document index in the indexed corpus.
-  /// Distance under the query's mode, ascending: emulsion KL (kl),
-  /// 1 - cosine (embed), 1 - Jaccard (lexical), or the negated RRF score
-  /// (fused) so "smaller is nearer" holds across all four.
-  double divergence = 0.0;
-};
-
 struct SimilarRecipesResult {
   int topic = 0;
   SimilarityMode mode = SimilarityMode::kKl;
@@ -184,7 +176,7 @@ struct TopicCardResult {
 /// Point-in-time view of the engine's streamed-delta state (INGESTZ).
 struct DeltaStats {
   uint64_t folded = 0;        ///< Lifetime recipes folded via FoldInDelta.
-  uint64_t delta_docs = 0;    ///< Currently resident (cleared on reload).
+  uint64_t delta_docs = 0;    ///< Resident in the served state's delta.
   uint64_t pending_terms = 0;
   uint64_t stale_vocab_queries = 0;
   uint64_t delta_generation = 0;
@@ -247,12 +239,12 @@ class QueryEngine {
   StatusOr<std::vector<RheologyMatch>> NearestRheology(
       int topic, const core::LinkageOptions* options = nullptr);
 
-  /// Places the query in its topic, then ranks that topic's indexed
-  /// recipes under `mode` (see SimilarityMode), nearest first. top_n == 0
-  /// uses config.max_similar. `deadline` guards the embedded fold-in
-  /// exactly as in PredictTexture. Results are cached per (canonical
-  /// query, mode, top_n) — the mode is part of the key, so a kl answer
-  /// can never be served for a fused query.
+  /// Places the query in its topic, then ranks that topic's indexed and
+  /// streamed recipes under `mode` (see SimilarityMode), nearest first, ties
+  /// on ascending recipe_index. top_n == 0 uses config.max_similar.
+  /// `deadline` guards the embedded fold-in exactly as in PredictTexture.
+  /// Results are cached per (canonical query, mode, top_n) — the mode is
+  /// part of the key, so a kl answer can never be served for a fused query.
   StatusOr<SimilarRecipesResult> SimilarRecipes(
       const TextureQuery& query, size_t top_n = 0,
       Deadline deadline = kNoDeadline, uint64_t trace_parent = 0,
@@ -264,10 +256,14 @@ class QueryEngine {
   /// Folds an accepted streamed recipe into the live serving state via the
   /// eq.-5 path (through the batcher, so it is queryable within one batch
   /// linger) and returns the topic it landed in. Delta documents join
-  /// SimilarRecipes rankings with recipe_index >= the indexed corpus size;
-  /// the whole delta is dropped on Reload (a refreshed model has absorbed
-  /// the recipes; the ingest layer re-folds any it has not). Not counted
-  /// as a query — the ingest layer keeps its own pipeline counters.
+  /// SimilarRecipes rankings with recipe_index >= the indexed corpus size,
+  /// scored exactly as a corpus recipe with the same content. The delta
+  /// belongs to the serving state the recipe was folded against, so a
+  /// Reload starts an empty one (a refreshed model has absorbed the
+  /// recipes; the ingest layer re-folds any it has not). A nonzero
+  /// `ingest_sequence` already resident in the delta is not folded again:
+  /// the call returns the resident record's topic. Not counted as a query
+  /// — the ingest layer keeps its own pipeline counters.
   StatusOr<int> FoldInDelta(const TextureQuery& query,
                             uint64_t ingest_sequence,
                             Deadline deadline = kNoDeadline);
@@ -326,32 +322,17 @@ class QueryEngine {
   const QueryEngineConfig& config() const { return config_; }
 
  private:
-  /// Immutable serving state bundle; replaced wholesale on reload so the
-  /// snapshot and the corpus index built against it can never be observed
-  /// out of sync.
+  /// Serving state bundle; replaced wholesale on reload so the snapshot
+  /// and the documents indexed against it can never be observed out of
+  /// sync.
   struct ServingState {
     std::shared_ptr<const ServingSnapshot> snapshot;
-    /// topic_docs[k]: corpus document indices whose gel features place
-    /// them in topic k. Empty when no corpus is attached.
-    std::vector<std::vector<size_t>> topic_docs;
-    /// Per corpus document: its term ids remapped into *this snapshot's*
-    /// vocabulary (sorted, deduplicated; out-of-vocabulary terms dropped).
-    /// The lexical and embed backends read these. Empty without a corpus.
-    std::vector<std::vector<int32_t>> doc_terms;
-    /// Cosine scan index over doc_terms; null when the snapshot carries no
-    /// embeddings or no corpus is attached. Views into `snapshot`, which
-    /// this bundle co-owns.
-    std::unique_ptr<embed::EmbeddingIndex> embedding_index;
-  };
-
-  /// One streamed recipe folded in ahead of the next refresh. Lives beside
-  /// the immutable ServingState (append-only under delta_mu_) so the hot
-  /// reload path stays a pure pointer swap.
-  struct DeltaDoc {
-    uint64_t ingest_sequence = 0;
-    int topic = 0;
-    math::Vector emulsion_concentration;
-    std::vector<int32_t> term_ids;  ///< Snapshot vocab ids, sorted-unique.
+    /// SimilarRecipes candidates: the corpus (base segment, filled before
+    /// the state is published) and the recipes FoldInDelta folded against
+    /// this snapshot (delta segment, the one part of a published state that
+    /// grows). Never null; views embeddings in `snapshot`, which this
+    /// bundle co-owns.
+    std::unique_ptr<DocStore> docs;
   };
 
   QueryEngine(const QueryEngineConfig& config, const recipe::Dataset* corpus);
@@ -370,9 +351,6 @@ class QueryEngine {
   /// fail clean, never silently drop a term the WAL already holds).
   Status CheckTermFreshness(const ServingSnapshot& snapshot,
                             const std::vector<std::string>& terms);
-  /// Delta documents currently assigned to `topic` with their resident
-  /// indices (recipe_index = corpus size + resident index).
-  std::vector<std::pair<size_t, DeltaDoc>> DeltaOfTopic(int topic) const;
   Status ValidateQuery(const TextureQuery& query) const;
   /// Fills the derived fields of a prediction from theta.
   TexturePrediction BuildPrediction(const ServingSnapshot& snapshot,
@@ -429,12 +407,10 @@ class QueryEngine {
 
   std::atomic<uint64_t> sequence_{0};
 
-  /// Streamed-delta state (see DeltaDoc). delta_generation_ versions the
-  /// SIMILAR cache key so a fold-in or reload invalidates cached rankings
-  /// without flushing unrelated entries.
-  mutable std::mutex delta_mu_;
-  std::vector<DeltaDoc> delta_docs_;                 // Guarded by delta_mu_.
-  std::unordered_set<std::string> pending_terms_;    // Guarded by delta_mu_.
+  /// delta_generation_ versions the SIMILAR cache key so a fold-in or
+  /// reload invalidates cached rankings without flushing unrelated entries.
+  mutable std::mutex pending_mu_;
+  std::unordered_set<std::string> pending_terms_;  // Guarded by pending_mu_.
   std::atomic<uint64_t> delta_generation_{0};
 };
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -406,6 +407,157 @@ TEST(QueryEngineTest, MmapEmbeddingAnswersMatchHeapByteForByte) {
           << SimilarityModeName(mode) << " rank " << i;
     }
   }
+}
+
+TEST(QueryEngineTest, KlTiesKeepRecipeIndexOrderAcrossDeltaFolds) {
+  // 48 topic-0 recipes share one emulsion row, so every kl distance ties;
+  // ties must come back in ascending recipe_index before and after a
+  // streamed recipe (same row, index 48) joins the topic.
+  recipe::Dataset corpus;
+  corpus.term_vocab.Add("katai");
+  for (size_t i = 0; i < 48; ++i) {
+    recipe::Document doc;
+    doc.recipe_index = i;
+    doc.term_ids = {0};
+    doc.gel_feature = math::Vector(3, 2.0);
+    doc.gel_concentration = math::Vector(3, std::exp(-2.0));
+    doc.emulsion_feature = math::Vector(6, 1.0);
+    doc.emulsion_concentration = math::Vector(6, 0.1);
+    corpus.documents.push_back(std::move(doc));
+  }
+  auto engine = QueryEngine::Create(FastConfig(), TinySnapshot(), &corpus);
+  ASSERT_TRUE(engine.ok());
+  TextureQuery query;
+  query.gel_concentration = math::Vector(3, std::exp(-2.0));
+  query.emulsion_concentration = math::Vector(6, 0.2);
+  auto expect_index_order = [&](size_t expected) {
+    auto result = (*engine)->SimilarRecipes(query, 100);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->topic, 0);
+    ASSERT_EQ(result->recipes.size(), expected);
+    for (size_t i = 0; i < expected; ++i) {
+      EXPECT_EQ(result->recipes[i].recipe_index, i) << "rank " << i;
+    }
+  };
+  expect_index_order(48);
+  TextureQuery streamed = query;
+  streamed.emulsion_concentration = math::Vector(6, 0.1);
+  streamed.texture_terms = {"katai"};
+  auto topic = (*engine)->FoldInDelta(streamed, 1);
+  ASSERT_TRUE(topic.ok()) << topic.status().ToString();
+  ASSERT_EQ(*topic, 0);
+  expect_index_order(49);
+}
+
+/// One topic, vocabulary aligned with TinyEmbeddingTable.
+std::shared_ptr<const ServingSnapshot> OneTopicEmbedSnapshot() {
+  core::ModelSnapshot model;
+  for (const char* term :
+       {"katai", "purupuru", "fuwafuwa", "zzz-not-a-texture-word"}) {
+    model.vocab.Add(term);
+  }
+  model.estimates.phi = {{0.4, 0.3, 0.2, 0.1}};
+  model.estimates.gel_topics = {MakeGaussian(4.0, 3)};
+  model.estimates.emulsion_topics = {MakeGaussian(2.0, 6)};
+  model.estimates.topic_recipe_count = {12};
+  auto snapshot = ServingSnapshot::FromModel(std::move(model), "one-topic",
+                                             TinyEmbeddingTable());
+  EXPECT_TRUE(snapshot.ok());
+  return *snapshot;
+}
+
+TEST(QueryEngineTest, StreamedRecipeRanksAsTheNextCorpusRecipe) {
+  // Engine A serves corpus C plus one streamed recipe x; engine B serves C
+  // with x appended as its last document, so x is recipe |C| in both. Every
+  // mode must give x, and every corpus recipe, the same rank and distance.
+  recipe::Dataset corpus;
+  for (const char* term : {"fuwafuwa", "katai", "purupuru"}) {
+    corpus.term_vocab.Add(term);
+  }
+  const std::vector<std::vector<int32_t>> bags = {
+      {1}, {1, 2}, {2}, {0}, {0, 2}, {1, 0}, {2, 2, 1}, {0}, {1}, {2, 0, 1}};
+  for (size_t i = 0; i < bags.size(); ++i) {
+    recipe::Document doc;
+    doc.recipe_index = i;
+    doc.term_ids = bags[i];
+    doc.gel_feature = math::Vector(3, 4.0);
+    doc.gel_concentration = math::Vector(3, std::exp(-4.0));
+    doc.emulsion_feature = math::Vector(6, 1.0);
+    doc.emulsion_concentration = math::Vector(6);
+    for (size_t e = 0; e < 6; ++e) {
+      doc.emulsion_concentration[e] = 0.01 + 0.037 * static_cast<double>(
+                                                         (i * 7 + e * 5) % 11);
+    }
+    corpus.documents.push_back(std::move(doc));
+  }
+  TextureQuery streamed;
+  streamed.gel_concentration = math::Vector(3, std::exp(-4.0));
+  streamed.emulsion_concentration = {0.12, 0.05, 0.2, 0.01, 0.09, 0.15};
+  streamed.texture_terms = {"purupuru", "katai", "purupuru"};
+
+  recipe::Dataset with_x = corpus;
+  recipe::Document x;
+  x.recipe_index = corpus.documents.size();
+  x.term_ids = {2, 1, 2};
+  x.gel_feature = math::Vector(3, 4.0);
+  x.gel_concentration = streamed.gel_concentration;
+  x.emulsion_feature = math::Vector(6, 1.0);
+  x.emulsion_concentration = streamed.emulsion_concentration;
+  with_x.documents.push_back(std::move(x));
+
+  auto a = QueryEngine::Create(FastConfig(), OneTopicEmbedSnapshot(), &corpus);
+  auto b = QueryEngine::Create(FastConfig(), OneTopicEmbedSnapshot(), &with_x);
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto topic = (*a)->FoldInDelta(streamed, 3);
+  ASSERT_TRUE(topic.ok()) << topic.status().ToString();
+  ASSERT_EQ(*topic, 0);
+
+  std::vector<TextureQuery> queries(3);
+  queries[0].gel_concentration = math::Vector(3, 0.02);
+  queries[0].emulsion_concentration = {0.1, 0.05, 0.2, 0.0, 0.1, 0.1};
+  queries[0].texture_terms = {"katai"};
+  queries[1].emulsion_concentration = {0.3, 0.0, 0.0, 0.05, 0.0, 0.2};
+  queries[1].texture_terms = {"purupuru", "fuwafuwa"};
+  queries[2].gel_concentration = math::Vector(3, 0.01);
+  queries[2].texture_terms = {"fuwafuwa", "katai", "purupuru"};
+  for (SimilarityMode mode :
+       {SimilarityMode::kKl, SimilarityMode::kEmbed, SimilarityMode::kLexical,
+        SimilarityMode::kFused}) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE(std::string(SimilarityModeName(mode)) + " query " +
+                   std::to_string(q));
+      auto streamed_result =
+          (*a)->SimilarRecipes(queries[q], 0, kNoDeadline, 0, mode);
+      auto corpus_result =
+          (*b)->SimilarRecipes(queries[q], 0, kNoDeadline, 0, mode);
+      ASSERT_TRUE(streamed_result.ok() && corpus_result.ok());
+      ASSERT_EQ(streamed_result->recipes.size(), bags.size() + 1);
+      ASSERT_EQ(corpus_result->recipes.size(), bags.size() + 1);
+      for (size_t i = 0; i < corpus_result->recipes.size(); ++i) {
+        const SimilarRecipe& s = streamed_result->recipes[i];
+        const SimilarRecipe& c = corpus_result->recipes[i];
+        EXPECT_EQ(s.recipe_index, c.recipe_index) << "rank " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(s.divergence),
+                  std::bit_cast<uint64_t>(c.divergence))
+            << "rank " << i << ": " << s.divergence << " vs " << c.divergence;
+      }
+    }
+  }
+}
+
+TEST(QueryEngineTest, FoldInDeltaKeepsOneRecordPerIngestSequence) {
+  auto corpus = TinyCorpus();
+  auto engine = QueryEngine::Create(FastConfig(), TinySnapshot(), &corpus);
+  ASSERT_TRUE(engine.ok());
+  auto first = (*engine)->FoldInDelta(HardQuery(), 7);
+  auto again = (*engine)->FoldInDelta(HardQuery(), 7);
+  ASSERT_TRUE(first.ok() && again.ok());
+  EXPECT_EQ(*again, *first);  // The resident record's topic.
+  EXPECT_EQ((*engine)->GetDeltaStats().delta_docs, 1u);
+  // Sequence 0 marks records the model already absorbed: each fold counts.
+  ASSERT_TRUE((*engine)->FoldInDelta(HardQuery(), 0).ok());
+  ASSERT_TRUE((*engine)->FoldInDelta(HardQuery(), 0).ok());
+  EXPECT_EQ((*engine)->GetDeltaStats().delta_docs, 3u);
 }
 
 TEST(QueryEngineTest, SimilarRecipesRequiresCorpus) {
