@@ -46,11 +46,11 @@ cmake --build build-tsan -j "$JOBS" \
   --target thread_pool_test geweke_test sampler_exactness_test \
   query_engine_test serve_snapshot_test joint_topic_model_test \
   serve_chaos_test router_chaos_test backoff_test metrics_registry_test \
-  trace_test pipeline_e2e_test embed_trainer_test embedding_index_test \
+  trace_test pipeline_e2e_test embed_trainer_test doc_store_test \
   ingest_test ingest_chaos_test alias_table_test topic_gaussians_test \
   sparse_gibbs_test checkpoint_test regression_test
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(thread_pool_test|geweke_test|sampler_exactness_test|query_engine_test|serve_snapshot_test|joint_topic_model_test|serve_chaos_test|router_chaos_test|backoff_test|metrics_registry_test|trace_test|pipeline_e2e_test|embed_trainer_test|embedding_index_test|ingest_test|ingest_chaos_test|alias_table_test|topic_gaussians_test|sparse_gibbs_test|checkpoint_test|regression_test)$')
+  -R '^(thread_pool_test|geweke_test|sampler_exactness_test|query_engine_test|serve_snapshot_test|joint_topic_model_test|serve_chaos_test|router_chaos_test|backoff_test|metrics_registry_test|trace_test|pipeline_e2e_test|embed_trainer_test|doc_store_test|ingest_test|ingest_chaos_test|alias_table_test|topic_gaussians_test|sparse_gibbs_test|checkpoint_test|regression_test)$')
 
 echo "==> ASan/UBSan: rebuild durability-sensitive targets with -fsanitize=address,undefined"
 cmake -B build-asan -S . -DTEXRHEO_SANITIZE=address >/dev/null
@@ -58,12 +58,12 @@ cmake --build build-asan -j "$JOBS" \
   --target serialization_test robustness_test model_binary_test \
   checkpoint_test atomic_file_test serve_hostile_test backoff_test \
   router_chaos_test pipeline_e2e_test embed_trainer_test \
-  embedding_index_test ingest_test ingest_chaos_test geweke_test \
+  doc_store_test ingest_test ingest_chaos_test geweke_test \
   sampler_exactness_test alias_table_test topic_gaussians_test \
   sparse_gibbs_test joint_topic_model_test regression_test \
-  collapsed_sampler_test
+  collapsed_sampler_test query_engine_test serve_server_test
 (cd build-asan && ctest --output-on-failure \
-  -R '^(serialization_test|robustness_test|model_binary_test|checkpoint_test|atomic_file_test|serve_hostile_test|backoff_test|router_chaos_test|pipeline_e2e_test|embed_trainer_test|embedding_index_test|ingest_test|ingest_chaos_test|geweke_test|sampler_exactness_test|alias_table_test|topic_gaussians_test|sparse_gibbs_test|joint_topic_model_test|regression_test|collapsed_sampler_test)$')
+  -R '^(serialization_test|robustness_test|model_binary_test|checkpoint_test|atomic_file_test|serve_hostile_test|backoff_test|router_chaos_test|pipeline_e2e_test|embed_trainer_test|doc_store_test|ingest_test|ingest_chaos_test|geweke_test|sampler_exactness_test|alias_table_test|topic_gaussians_test|sparse_gibbs_test|joint_topic_model_test|regression_test|collapsed_sampler_test|query_engine_test|serve_server_test)$')
 
 echo "==> serve smoke: texrheo_serve --toy --selftest under ASan/UBSan"
 # Trains a small toy model, runs the scripted query session (PREDICT /

@@ -328,12 +328,20 @@ TEST(IngestChaosTest, ConcurrentQueriesNeverFailAcrossRefreshAndRecovery) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> query_failures{0};
   std::atomic<uint64_t> queries{0};
+  // SIMILAR readers race delta appends, per-state delta segments and
+  // reloads alongside the PREDICT traffic.
   auto hammer = [&](serve::QueryEngine* engine) {
     serve::TextureQuery query;
     query.gel_concentration = math::Vector(3, 0.01);
     query.texture_terms = {"katai"};
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!engine->PredictTexture(query).ok()) {
+    for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      auto similar = [&](serve::SimilarityMode mode) {
+        return engine->SimilarRecipes(query, 1 + i % 8, serve::kNoDeadline, 0,
+                                      mode);
+      };
+      if (!engine->PredictTexture(query).ok() ||
+          !similar(serve::SimilarityMode::kKl).ok() ||
+          !similar(serve::SimilarityMode::kLexical).ok()) {
         query_failures.fetch_add(1, std::memory_order_relaxed);
       }
       queries.fetch_add(1, std::memory_order_relaxed);
