@@ -547,5 +547,65 @@ TEST(SimilarPinTest, RankingBytesPerMode) {
   }
 }
 
+// --- Engine fold-in stream pins -------------------------------------------
+//
+// Query N of an engine folds in from Rng::ForStream(seed, N), N taken at
+// admission by PredictTexture misses and FoldInDelta alike, and a cache hit
+// takes none. Pins the theta bits and topic of every answer one engine
+// gives over an interleaved run of both, so any change to the order in
+// which fold-ins take their streams moves this value.
+
+void AppendAnswer(const std::vector<double>& theta, int topic,
+                  std::string& bytes) {
+  bytes.append(reinterpret_cast<const char*>(theta.data()),
+               theta.size() * sizeof(double));
+  bytes.append(reinterpret_cast<const char*>(&topic), sizeof(topic));
+}
+
+TEST(EnginePredictPinTest, ThetaBitsAcrossMissesDeltaFoldsAndAHit) {
+  const std::vector<TextureQuery> queries = {
+      PinQuery(0.2, {0.05, 0.1, 0.0, 0.2, 0.02, 0.1}, {}),
+      PinQuery(0.03, {0.0, 0.25, 0.05, 0.0, 0.1, 0.0},
+               {"purupuru", "fuwafuwa", "purupuru"}),
+      PinQuery(0.004, {0.1, 0.1, 0.1, 0.0, 0.0, 0.3}, {}),
+      PinQuery(0.005, {}, {"sakusaku", "katai", "sakusaku"}),
+      PinQuery(0.2, {0.3, 0.0, 0.0, 0.01, 0.0, 0.2}, {"fuwafuwa"}),
+  };
+  auto snapshot = ServingSnapshot::FromModel(SimilarPinModel(), "pin",
+                                             SimilarPinEmbeddings());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  recipe::Dataset corpus = SimilarPinCorpus();
+  QueryEngineConfig config;
+  config.fold_in_sweeps = 10;
+  config.batch_linger_micros = 0;
+  auto engine = QueryEngine::Create(config, *snapshot, &corpus);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  std::string bytes;
+  auto predict = [&](size_t q, bool expect_hit) {
+    auto p = (*engine)->PredictTexture(queries[q]);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    EXPECT_EQ(p->from_cache, expect_hit) << "query " << q;
+    AppendAnswer(p->theta, p->topic, bytes);
+  };
+  auto fold = [&](size_t q, uint64_t ingest_sequence) {
+    auto topic = (*engine)->FoldInDelta(queries[q], ingest_sequence);
+    ASSERT_TRUE(topic.ok()) << topic.status().ToString();
+    AppendAnswer({}, *topic, bytes);
+  };
+  predict(0, false);  // Stream 0.
+  predict(1, false);  // Stream 1.
+  fold(3, 11);        // Stream 2.
+  predict(2, false);  // Stream 3.
+  predict(1, true);   // Cache hit: no stream.
+  predict(3, false);  // Stream 4.
+  fold(1, 12);        // Stream 5.
+  predict(4, false);  // Stream 6.
+  EXPECT_EQ((*engine)->GetDeltaStats().delta_docs, 2u);
+
+  const uint32_t crc = Crc32(bytes);
+  EXPECT_EQ(crc, 0x474f6fbbu) << "actual 0x" << std::hex << crc;
+}
+
 }  // namespace
 }  // namespace texrheo::serve
