@@ -142,7 +142,6 @@ int Run(int argc, char** argv) {
   for (int i = 0; i < kReplicas; ++i) {
     serve::QueryEngineConfig config;
     config.fold_in_sweeps = 10;
-    config.batch_linger_micros = 0;
     auto engine =
         serve::QueryEngine::Create(config, *snapshot_or, &corpora[i]);
     if (!engine.ok()) {

@@ -784,9 +784,8 @@ serve::TextureQuery BenchQuery() {
 }
 
 // Uncached PredictTexture: cache disabled, so every iteration pays the
-// full eq.-5 fold-in through the batcher. The fold-in runs on the batcher
-// thread, so the queries_per_sec rate is over wall time (UseRealTime), not
-// over the main thread's CPU time, which mostly waits.
+// full eq.-5 fold-in, on the calling thread. The queries_per_sec rate is
+// over wall time (UseRealTime), as every serving rate is.
 void BM_QueryEngineFoldIn(benchmark::State& state) {
   auto snapshot = SharedServingSnapshot();
   if (snapshot == nullptr) {
@@ -795,7 +794,6 @@ void BM_QueryEngineFoldIn(benchmark::State& state) {
   }
   serve::QueryEngineConfig config;
   config.cache_capacity = 0;
-  config.batch_linger_micros = 0;
   auto engine = serve::QueryEngine::Create(config, snapshot, nullptr);
   if (!engine.ok()) {
     state.SkipWithError("engine create failed");
@@ -829,7 +827,6 @@ void BM_QueryEngineCachedHit(benchmark::State& state) {
     return;
   }
   serve::QueryEngineConfig config;
-  config.batch_linger_micros = 0;
   auto engine = serve::QueryEngine::Create(config, snapshot, nullptr);
   if (!engine.ok()) {
     state.SkipWithError("engine create failed");
@@ -860,11 +857,9 @@ BENCHMARK(BM_QueryEngineCachedHit)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-// Concurrent load through the micro-batcher: each iteration fires
-// kClients threads x kPerClient uncached queries with a live linger
-// window, so concurrent fold-ins coalesce into shared batches.
-// "mean_batch_size" (jobs / batches dispatched) is the grouping the
-// batcher actually achieved under this load.
+// Concurrent load: each iteration fires kClients threads x kPerClient
+// uncached queries, each folding in on its own client thread under the
+// engine's in-flight admission control ("shed" counts its rejections).
 void BM_QueryEngineConcurrent(benchmark::State& state) {
   auto snapshot = SharedServingSnapshot();
   if (snapshot == nullptr) {
@@ -873,8 +868,6 @@ void BM_QueryEngineConcurrent(benchmark::State& state) {
   }
   serve::QueryEngineConfig config;
   config.cache_capacity = 0;
-  config.batch_linger_micros = 200;
-  config.batch_max_size = 8;
   auto engine = serve::QueryEngine::Create(config, snapshot, nullptr);
   if (!engine.ok()) {
     state.SkipWithError("engine create failed");
@@ -903,7 +896,6 @@ void BM_QueryEngineConcurrent(benchmark::State& state) {
   state.counters["queries_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations() * kClients * per_client),
       benchmark::Counter::kIsRate);
-  state.counters["mean_batch_size"] = stats.batcher.MeanBatchSize();
   state.counters["shed"] = static_cast<double>(stats.batcher.shed);
 }
 BENCHMARK(BM_QueryEngineConcurrent)
@@ -942,7 +934,6 @@ void BM_ServerUnderSlowClient(benchmark::State& state) {
     return;
   }
   serve::QueryEngineConfig config;
-  config.batch_linger_micros = 0;
   auto engine = serve::QueryEngine::Create(config, snapshot, nullptr);
   if (!engine.ok()) {
     state.SkipWithError("engine create failed");

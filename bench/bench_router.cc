@@ -78,7 +78,6 @@ bool StartReplica(std::shared_ptr<const serve::ServingSnapshot> snapshot,
                   ReplicaProcess* replica, int port) {
   serve::QueryEngineConfig config;
   config.fold_in_sweeps = 10;
-  config.batch_linger_micros = 0;
   auto engine = serve::QueryEngine::Create(config, std::move(snapshot),
                                            nullptr);
   if (!engine.ok()) return false;

@@ -88,7 +88,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
   serve::QueryEngineConfig engine_config;
-  engine_config.batch_linger_micros = 0;
   // Weight overrides for tuning sweeps; defaults are the engine's own.
   engine_config.fusion_kl_weight =
       flags.GetDouble("w-kl", engine_config.fusion_kl_weight)

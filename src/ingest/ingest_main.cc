@@ -84,7 +84,6 @@ StatusOr<ToyDeployment> BuildToy(double scale, int refresh_sweeps,
       std::move(result.dataset));
 
   texrheo::serve::QueryEngineConfig engine_config;
-  engine_config.num_threads = 0;
   engine_config.metrics = toy.metrics;
   engine_config.tracer = toy.tracer.get();
   engine_config.feature = config.dataset.feature;

@@ -59,7 +59,7 @@ struct IngestServiceConfig {
 ///
 /// Accept path (Ingest): canonicalize -> content-key dedup -> CRC-framed
 /// WAL append + fsync -> acknowledge -> fold into the live engine delta
-/// (eq. 5, queryable within one batch linger) -> register still-unknown
+/// (eq. 5, queryable on return) -> register still-unknown
 /// terms as pending. The acknowledgement is durable: after a crash,
 /// Recover() replays the WAL and re-folds every acknowledged record
 /// exactly once (redelivery of the same content re-acknowledges the

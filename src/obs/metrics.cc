@@ -115,7 +115,7 @@ const LatencyHistogram::Snapshot* MetricsSnapshot::Histogram(
 
 JsonValue MetricsSnapshot::ToJson() const {
   JsonValue root = JsonValue::MakeObject();
-  root.AsObject()["schema_version"] = JsonValue::Number(1);
+  root.AsObject()["schema_version"] = JsonValue::Number(2);
   JsonValue counter_obj = JsonValue::MakeObject();
   for (const auto& [name, value] : counters) {
     counter_obj.AsObject()[name] =

@@ -81,7 +81,7 @@ struct MetricsSnapshot {
   const LatencyHistogram::Snapshot* Histogram(std::string_view name) const;
 
   /// Stable machine-readable form (the METRICSZ schema):
-  ///   {"schema_version": 1,
+  ///   {"schema_version": 2,
   ///    "counters":   {name: integer, ...},
   ///    "gauges":     {name: number, ...},
   ///    "histograms": {name: {"count": n, "sum_us": n, "max_us": n,

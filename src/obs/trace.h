@@ -31,8 +31,9 @@ class Tracer;
 /// Move-only RAII span. Ends (and records) at destruction or on an
 /// explicit End(); ending twice is a no-op. Children are created
 /// explicitly — either from the span (same thread or not) or from the
-/// tracer with the parent's id (the cross-thread form used when a request
-/// hands work to the batcher's dispatcher thread).
+/// tracer with the parent's id (for a parent on another thread or one
+/// that has already ended, as a query's admission span has by the time
+/// its fold_in span starts).
 class TraceSpan {
  public:
   TraceSpan() = default;  ///< Inert span (no tracer); End is a no-op.

@@ -110,11 +110,11 @@ QueryEngine::QueryEngine(const QueryEngineConfig& config,
   metrics_ = config.metrics != nullptr
                  ? config.metrics
                  : std::make_shared<obs::MetricsRegistry>();
-  // Pipeline registration order (see header): accepted here, the batcher's
-  // submitted/jobs_processed when the batcher is built, completed last
-  // (in Create) — matching the order a request increments them. The mode
-  // counters sit right after accepted for the same reason: a snapshot can
-  // never show sum(modes) > accepted.
+  // Pipeline registration order (see header): accepted first, the fold_in
+  // counters next, completed last — matching the order a request
+  // increments them, because TakeSnapshot reads in reverse registration
+  // order. The mode counters sit right after accepted for the same reason:
+  // a snapshot can never show sum(modes) > accepted.
   queries_accepted_ = metrics_->RegisterCounter("serve.queries.accepted");
   for (size_t m = 0; m < kNumSimilarityModes; ++m) {
     similar_mode_[m] = metrics_->RegisterCounter(
@@ -141,6 +141,12 @@ QueryEngine::QueryEngine(const QueryEngineConfig& config,
   nearest_latency_ = metrics_->RegisterHistogram("serve.nearest_us");
   similar_latency_ = metrics_->RegisterHistogram("serve.similar_us");
   topic_card_latency_ = metrics_->RegisterHistogram("serve.topic_card_us");
+  fold_admitted_ = metrics_->RegisterCounter("serve.fold_in.admitted");
+  fold_shed_ = metrics_->RegisterCounter("serve.fold_in.shed");
+  fold_deadline_expired_ =
+      metrics_->RegisterCounter("serve.fold_in.deadline_expired");
+  fold_completed_ = metrics_->RegisterCounter("serve.fold_in.completed");
+  queries_completed_ = metrics_->RegisterCounter("serve.queries.completed");
 }
 
 QueryEngine::~QueryEngine() = default;
@@ -162,33 +168,13 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     return Status::InvalidArgument(
         "query engine: cache_quantum must be positive");
   }
-  if (config.batch_max_size < 1 || config.max_queue < 1) {
+  if (config.max_in_flight < 1) {
     return Status::InvalidArgument(
-        "query engine: batch_max_size and max_queue must be >= 1");
-  }
-  if (config.num_threads < 0) {
-    return Status::InvalidArgument("query engine: num_threads must be >= 0");
+        "query engine: max_in_flight must be >= 1");
   }
   auto engine =
       std::unique_ptr<QueryEngine>(new QueryEngine(config, corpus));
   engine->state_ = BuildState(std::move(snapshot), corpus);
-  int threads = config.num_threads == 0 ? ThreadPool::HardwareConcurrency()
-                                        : config.num_threads;
-  engine->pool_ = std::make_unique<ThreadPool>(threads);
-  FoldInBatcher::Options batch_options;
-  batch_options.max_queue = config.max_queue;
-  batch_options.max_batch = config.batch_max_size;
-  batch_options.linger_micros = config.batch_linger_micros;
-  batch_options.metrics = engine->metrics_.get();
-  QueryEngine* raw = engine.get();
-  engine->batcher_ = std::make_unique<FoldInBatcher>(
-      batch_options,
-      [raw](std::vector<FoldInJob>& batch) { raw->RunBatch(batch); });
-  // Registered after the batcher's counters on purpose: completed is the
-  // last counter a request touches, so it must be the first one a snapshot
-  // reads (TakeSnapshot reads in reverse registration order).
-  engine->queries_completed_ =
-      engine->metrics_->RegisterCounter("serve.queries.completed");
   return engine;
 }
 
@@ -325,36 +311,52 @@ TexturePrediction QueryEngine::BuildPrediction(
   return prediction;
 }
 
-void QueryEngine::RunBatch(std::vector<FoldInJob>& batch) {
-  // The dispatch span is a root (one batch serves many requests); each
-  // job's fold_in span instead parents to its request's admission span via
-  // the id carried in the job, keeping the per-request chain intact.
-  obs::TraceSpan dispatch;
-  obs::Tracer* tracer = config_.tracer;
-  if (tracer != nullptr) dispatch = tracer->StartSpan("batch_dispatch");
-  // Fan the batch across the pool; each job's RNG is keyed on its admission
-  // sequence, so results are independent of batch composition and of which
-  // worker runs the job.
-  pool_->ParallelFor(
-      static_cast<int>(batch.size()), [this, tracer, &batch](int i) {
-        FoldInJob& job = batch[static_cast<size_t>(i)];
-        obs::TraceSpan fold;
-        if (tracer != nullptr) {
-          fold = tracer->StartSpanWithParent("fold_in", job.trace_parent);
-        }
-        Rng rng = Rng::ForStream(config_.seed, job.sequence);
-        job.result.set_value(job.snapshot->FoldInTheta(
-            job.term_ids, job.gel_feature, config_.fold_in_sweeps,
-            config_.alpha, rng));
-      });
+StatusOr<std::vector<double>> QueryEngine::FoldIn(
+    const ServingSnapshot& snapshot, const std::vector<int32_t>& term_ids,
+    const math::Vector& gel_feature, Deadline deadline,
+    obs::TraceSpan* admission) {
+  // Taken before the admission checks, so a shed fold-in still uses up its
+  // stream and every later answer keeps the stream it would have had.
+  const uint64_t sequence = sequence_.fetch_add(1, std::memory_order_relaxed);
+  // Dead on arrival: the request blew its budget before the fold-in (e.g.
+  // a slow client took the whole budget just delivering the line).
+  if (DeadlineExpired(deadline)) {
+    fold_deadline_expired_->Increment();
+    return Status::DeadlineExceeded(
+        "request deadline expired before fold-in admission");
+  }
+  if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
+      config_.max_in_flight) {
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    fold_shed_->Increment();
+    return Status::Unavailable("fold-in capacity full (" +
+                               std::to_string(config_.max_in_flight) +
+                               " in flight); retry later");
+  }
+  fold_admitted_->Increment();
+  obs::TraceSpan fold;
+  if (config_.tracer != nullptr) {
+    uint64_t parent = 0;
+    if (admission != nullptr) {
+      admission->End();
+      parent = admission->span_id();
+    }
+    fold = config_.tracer->StartSpanWithParent("fold_in", parent);
+  }
+  Rng rng = Rng::ForStream(config_.seed, sequence);
+  StatusOr<std::vector<double>> theta = snapshot.FoldInTheta(
+      term_ids, gel_feature, config_.fold_in_sweeps, config_.alpha, rng);
+  fold.End();
+  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  fold_completed_->Increment();
+  return theta;
 }
 
 StatusOr<TexturePrediction> QueryEngine::PredictTexture(
     const TextureQuery& query, Deadline deadline, uint64_t trace_parent) {
   QueryScope scope(queries_accepted_, queries_completed_, predict_latency_);
   // Admission covers validation, term resolution, the cache probe and the
-  // batcher hand-off; the wait for the fold-in result is deliberately
-  // outside it (queue time shows up between admission and fold_in spans).
+  // in-flight check; the fold_in span that follows parents to it.
   obs::TraceSpan admission;
   if (config_.tracer != nullptr) {
     admission =
@@ -382,20 +384,16 @@ StatusOr<TexturePrediction> QueryEngine::PredictTexture(
   }
   cache_misses_->Increment();
 
-  FoldInJob job;
-  job.snapshot = state->snapshot;
-  job.term_ids = std::move(term_ids);
-  job.gel_feature = recipe::ToFeature(gel, config_.feature);
-  job.sequence = sequence_.fetch_add(1, std::memory_order_relaxed);
-  job.deadline = deadline;
-  job.trace_parent = admission.span_id();
-  auto future_or = batcher_->Submit(std::move(job));
-  admission.End();
-  if (!future_or.ok()) {
-    errors_->Increment();
-    return future_or.status();
+  StatusOr<std::vector<double>> theta =
+      FoldIn(snapshot, term_ids, recipe::ToFeature(gel, config_.feature),
+             deadline, &admission);
+  // The caller has given up on an answer that comes back late; it is not
+  // cached either, so the next ask folds in afresh.
+  if (theta.ok() && DeadlineExpired(deadline)) {
+    fold_deadline_expired_->Increment();
+    theta = Status::DeadlineExceeded(
+        "request deadline expired during the fold-in");
   }
-  StatusOr<std::vector<double>> theta = future_or->get();
   if (!theta.ok()) {
     errors_->Increment();
     return theta.status();
@@ -617,18 +615,9 @@ StatusOr<int> QueryEngine::FoldInDelta(const TextureQuery& query,
   // fail clean until the next refresh absorbs them.
   std::vector<int32_t> term_ids = ResolveTerms(snapshot, query.texture_terms);
 
-  FoldInJob job;
-  job.snapshot = state->snapshot;
-  job.term_ids = term_ids;
-  job.gel_feature = recipe::ToFeature(gel, config_.feature);
-  job.sequence = sequence_.fetch_add(1, std::memory_order_relaxed);
-  job.deadline = deadline;
-  auto future_or = batcher_->Submit(std::move(job));
-  if (!future_or.ok()) {
-    errors_->Increment();
-    return future_or.status();
-  }
-  StatusOr<std::vector<double>> theta = future_or->get();
+  StatusOr<std::vector<double>> theta =
+      FoldIn(snapshot, term_ids, recipe::ToFeature(gel, config_.feature),
+             deadline, /*admission=*/nullptr);
   if (!theta.ok()) {
     errors_->Increment();
     return theta.status();
@@ -695,12 +684,11 @@ Status QueryEngine::Reload(std::shared_ptr<const ServingSnapshot> snapshot) {
     std::lock_guard<std::mutex> lock(state_mu_);
     state_ = std::move(fresh);
   }
-  // Flush *after* publishing: a result computed against the old model can
-  // re-enter the cache between a flush-then-publish, but not the reverse
-  // ordering... it still can (a slow in-flight Put lands late). That is
-  // acceptable staleness: entries carry the model fingerprint, and the
-  // next eviction or reload clears them; correctness-critical readers
-  // compare fingerprints.
+  // Flush *after* publishing, so no query that starts from here on can
+  // read a result of the old model. A query still in flight on the old
+  // state can Put its result after this flush; that entry carries the old
+  // fingerprint and lives until evicted or the next reload, so readers
+  // that must not mix models compare fingerprints.
   cache_.Clear();
   similar_cache_.Clear();
   // The new state starts with an empty delta: the refreshed model has
@@ -741,7 +729,11 @@ QueryEngineStats QueryEngine::GetStats() const {
   stats.similar = similar_latency_->TakeSnapshot();
   stats.topic_card = topic_card_latency_->TakeSnapshot();
   stats.cache = cache_.Stats();
-  stats.batcher = batcher_->GetStats();
+  stats.batcher.admitted = fold_admitted_->Value();
+  stats.batcher.shed = fold_shed_->Value();
+  stats.batcher.deadline_expired = fold_deadline_expired_->Value();
+  stats.batcher.jobs_processed = fold_completed_->Value();
+  stats.batcher.batches = stats.batcher.jobs_processed;
   stats.reloads = reloads_->Value();
   stats.errors = errors_->Value();
   stats.unknown_terms = unknown_terms_->Value();
@@ -795,19 +787,11 @@ std::string QueryEngine::RenderStatsz(const obs::MetricsSnapshot& snap) const {
                     : static_cast<double>(hits) /
                           static_cast<double>(hits + misses));
   out << rate << "\n";
-  const uint64_t batches = snap.CounterValue("serve.batcher.batches");
-  const uint64_t jobs = snap.CounterValue("serve.batcher.jobs_processed");
-  out << "batcher: submitted=" << snap.CounterValue("serve.batcher.submitted")
-      << " shed=" << snap.CounterValue("serve.batcher.shed")
+  out << "fold_in: admitted=" << snap.CounterValue("serve.fold_in.admitted")
+      << " shed=" << snap.CounterValue("serve.fold_in.shed")
       << " deadline_expired="
-      << snap.CounterValue("serve.batcher.deadline_expired")
-      << " batches=" << batches << " jobs=" << jobs << " mean_batch=";
-  std::snprintf(rate, sizeof(rate), "%.2f",
-                batches == 0 ? 0.0
-                             : static_cast<double>(jobs) /
-                                   static_cast<double>(batches));
-  out << rate << " max_batch="
-      << static_cast<uint64_t>(snap.GaugeValue("serve.batcher.max_batch_size"))
+      << snap.CounterValue("serve.fold_in.deadline_expired")
+      << " completed=" << snap.CounterValue("serve.fold_in.completed")
       << "\n";
   out << "queries: accepted=" << snap.CounterValue("serve.queries.accepted")
       << " completed=" << snap.CounterValue("serve.queries.completed")

@@ -17,18 +17,17 @@
 #include "obs/trace.h"
 #include "recipe/dataset.h"
 #include "rheology/empirical_data.h"
-#include "serve/batcher.h"
+#include "serve/deadline.h"
 #include "serve/doc_store.h"
 #include "serve/snapshot.h"
 #include "util/histogram.h"
 #include "util/lru_cache.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace texrheo::serve {
 
 /// Tuning of a QueryEngine instance. Defaults are sized for the toy serving
-/// path; a production deployment raises cache_capacity / max_queue.
+/// path; a production deployment raises cache_capacity / max_in_flight.
 struct QueryEngineConfig {
   /// Gibbs sweeps per fold-in (eq.-5 scoring of an unseen recipe).
   int fold_in_sweeps = 25;
@@ -39,19 +38,19 @@ struct QueryEngineConfig {
   /// Seed of the per-query RNG streams: query N draws from
   /// Rng::ForStream(seed, N), so a single-client session is reproducible.
   uint64_t seed = 1234;
-  /// ThreadPool parallelism used *inside* a fold-in batch. 0 = hardware
-  /// concurrency, 1 = run batches on the dispatcher thread alone.
-  int num_threads = 1;
 
   /// PredictTexture result cache (canonicalized keys). 0 disables.
   size_t cache_capacity = 4096;
   /// Quantization step of the canonical key, in concentration-ratio units.
   double cache_quantum = 1e-4;
 
-  /// Admission control + micro-batching (see FoldInBatcher).
-  size_t max_queue = 256;
-  size_t batch_max_size = 16;
-  int batch_linger_micros = 200;
+  /// Admission control: fold-ins run on the calling thread, and a fold-in
+  /// that would make more than this many run at once is shed with
+  /// Unavailable.
+  size_t max_in_flight = 256;
+  /// Ignored: there is no fold-in queue left to linger in. Kept only
+  /// because the repository benchmark's reference replay still sets it.
+  int batch_linger_micros = 0;
 
   /// Result sizing.
   int top_terms = 8;
@@ -84,9 +83,8 @@ struct QueryEngineConfig {
   /// creates (and owns) its own.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   /// Optional tracer (not owned; must outlive the engine). When set, every
-  /// query produces an admission span, and each dispatched batch produces
-  /// a batch_dispatch span with per-job fold_in children parented to the
-  /// requests' admission spans. Never consulted on the RNG path.
+  /// PredictTexture produces an admission span, and every fold-in a
+  /// fold_in span parented to it. Never consulted on the RNG path.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -182,6 +180,20 @@ struct DeltaStats {
   uint64_t delta_generation = 0;
 };
 
+/// Fold-in admission counters (serve.fold_in.*). The field is still called
+/// `batcher`, with `jobs_processed` and `batches`, because the repository
+/// benchmark reads these names; every fold-in runs alone, so batches is
+/// always jobs_processed.
+struct FoldInStats {
+  uint64_t admitted = 0;
+  uint64_t shed = 0;  ///< Rejected: max_in_flight fold-ins were running.
+  /// Expired before the fold-in started, or (PredictTexture) by the time it
+  /// returned.
+  uint64_t deadline_expired = 0;
+  uint64_t jobs_processed = 0;  ///< Fold-ins that ran to the end.
+  uint64_t batches = 0;
+};
+
 /// Point-in-time engine statistics.
 struct QueryEngineStats {
   LatencyHistogram::Snapshot predict;
@@ -189,7 +201,7 @@ struct QueryEngineStats {
   LatencyHistogram::Snapshot similar;
   LatencyHistogram::Snapshot topic_card;
   LruCacheStats cache;
-  FoldInBatcher::Stats batcher;
+  FoldInStats batcher;
   uint64_t reloads = 0;
   uint64_t errors = 0;
   uint64_t unknown_terms = 0;
@@ -203,8 +215,8 @@ struct QueryEngineStats {
 /// shared_ptr swap: readers take a reference under a short lock, then work
 /// entirely on their private reference, so Reload never blocks or fails an
 /// in-flight query — it only changes what *subsequent* queries see.
-/// PredictTexture misses flow through the FoldInBatcher (bounded queue,
-/// micro-batching, shed-with-Unavailable under overload) and land in a
+/// PredictTexture misses fold in on the caller's thread (at most
+/// max_in_flight at once, shed with Unavailable beyond that) and land in a
 /// canonicalized LRU result cache.
 class QueryEngine {
  public:
@@ -223,10 +235,10 @@ class QueryEngine {
 
   /// Folds the query into the model and reports its per-category
   /// texture-term distribution (paper eq. 5). Cached by canonical key.
-  /// `deadline` is the request's absolute budget: a query that has already
-  /// blown it is shed with DeadlineExceeded at batcher admission (or while
-  /// queued) instead of occupying a batch slot. Cache hits always succeed —
-  /// answering from memory is cheaper than shedding.
+  /// `deadline` is the request's absolute budget, checked before the
+  /// fold-in and again when it returns: either way the query answers
+  /// DeadlineExceeded, and a late answer is not cached. Cache hits always
+  /// succeed — answering from memory is cheaper than shedding.
   /// `trace_parent` (0 = root) parents the query's admission span, letting
   /// a protocol front-end stitch request -> admission across layers.
   StatusOr<TexturePrediction> PredictTexture(const TextureQuery& query,
@@ -254,8 +266,9 @@ class QueryEngine {
   StatusOr<TopicCardResult> TopicCard(int topic);
 
   /// Folds an accepted streamed recipe into the live serving state via the
-  /// eq.-5 path (through the batcher, so it is queryable within one batch
-  /// linger) and returns the topic it landed in. Delta documents join
+  /// eq.-5 path, on the caller's thread and under the same admission
+  /// control and pre-fold deadline check as PredictTexture, and returns the
+  /// topic it landed in; the recipe is queryable when the call returns. Delta documents join
   /// SimilarRecipes rankings with recipe_index >= the indexed corpus size,
   /// scored exactly as a corpus recipe with the same content. The delta
   /// belongs to the serving state the recipe was folded against, so a
@@ -355,7 +368,15 @@ class QueryEngine {
   /// Fills the derived fields of a prediction from theta.
   TexturePrediction BuildPrediction(const ServingSnapshot& snapshot,
                                     std::vector<double> theta) const;
-  void RunBatch(std::vector<FoldInJob>& batch);
+  /// One eq.-5 fold-in on the calling thread. Takes the next admission
+  /// sequence (the fold's RNG stream), then sheds with DeadlineExceeded
+  /// past `deadline` or Unavailable at max_in_flight. `admission` (may be
+  /// null) ends once the fold-in is admitted and parents its fold_in span.
+  StatusOr<std::vector<double>> FoldIn(const ServingSnapshot& snapshot,
+                                       const std::vector<int32_t>& term_ids,
+                                       const math::Vector& gel_feature,
+                                       Deadline deadline,
+                                       obs::TraceSpan* admission);
   void RefreshDerivedGauges() const;
 
   const QueryEngineConfig config_;
@@ -364,8 +385,6 @@ class QueryEngine {
   mutable std::mutex state_mu_;
   std::shared_ptr<const ServingState> state_;  // Guarded by state_mu_.
 
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<FoldInBatcher> batcher_;
   LruCache<std::string, TexturePrediction> cache_;
   /// SIMILAR results keyed by canonical query key + mode + top_n; flushed
   /// together with cache_ on reload.
@@ -373,11 +392,12 @@ class QueryEngine {
 
   /// All counters/gauges/latency histograms live in the registry; the
   /// members below are pre-registered handles (lock-free on the hot path).
-  /// serve.queries.accepted is registered before the batcher's pipeline
-  /// counters and serve.queries.completed after them, matching the order a
-  /// request touches them, so registry snapshots are monotone-consistent:
-  /// accepted >= batcher.submitted >= batcher.jobs_processed and
-  /// accepted >= completed in every snapshot.
+  /// serve.queries.accepted is registered before the fold_in counters and
+  /// serve.queries.completed after them, matching the order a request
+  /// touches them, so registry snapshots are monotone-consistent:
+  /// fold_in.admitted >= fold_in.completed and accepted >= completed in
+  /// every snapshot, and accepted >= fold_in.admitted while no FoldInDelta
+  /// (which is not a query) runs.
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* queries_accepted_ = nullptr;
   obs::Counter* queries_completed_ = nullptr;
@@ -388,6 +408,10 @@ class QueryEngine {
   obs::Counter* stale_vocab_ = nullptr;
   obs::Counter* delta_folded_ = nullptr;
   obs::Counter* reloads_ = nullptr;
+  obs::Counter* fold_admitted_ = nullptr;
+  obs::Counter* fold_shed_ = nullptr;
+  obs::Counter* fold_deadline_expired_ = nullptr;
+  obs::Counter* fold_completed_ = nullptr;
   obs::Gauge* delta_docs_gauge_ = nullptr;
   obs::Gauge* pending_terms_gauge_ = nullptr;
   /// serve.similar.mode.{kl,embed,lexical,fused}, indexed by
@@ -406,6 +430,8 @@ class QueryEngine {
   LatencyHistogram* topic_card_latency_ = nullptr;
 
   std::atomic<uint64_t> sequence_{0};
+  /// Fold-ins running now, on every caller thread together.
+  std::atomic<size_t> in_flight_{0};
 
   /// delta_generation_ versions the SIMILAR cache key so a fold-in or
   /// reload invalidates cached rankings without flushing unrelated entries.

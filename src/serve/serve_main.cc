@@ -189,7 +189,7 @@ Status RunSelftest(int port, const std::string& reload_file,
   TEXRHEO_RETURN_IF_ERROR(client->SendLine("STATSZ"));
   TEXRHEO_ASSIGN_OR_RETURN(std::string statsz, client->ReadUntilDot());
   if (statsz.find("cache:") == std::string::npos ||
-      statsz.find("batcher:") == std::string::npos ||
+      statsz.find("fold_in:") == std::string::npos ||
       statsz.find("queries:") == std::string::npos ||
       statsz.find("server:") == std::string::npos ||
       statsz.find("reload_breaker:") == std::string::npos) {
@@ -214,8 +214,8 @@ Status RunSelftest(int port, const std::string& reload_file,
                            texrheo::JsonValue::Parse(metricsz));
   const texrheo::JsonValue* version = metrics.Find("schema_version");
   if (version == nullptr || !version->is_number() ||
-      version->AsNumber() != 1.0) {
-    return Status::Internal("selftest: metricsz missing schema_version 1:\n" +
+      version->AsNumber() != 2.0) {
+    return Status::Internal("selftest: metricsz missing schema_version 2:\n" +
                             metricsz);
   }
   for (const char* section : {"counters", "gauges", "histograms", "model"}) {
@@ -259,10 +259,10 @@ Status RunRouterSmoke(
   std::vector<Replica> fleet(3);
   texrheo::serve::RouterOptions router_options;
   for (Replica& replica : fleet) {
-    texrheo::serve::QueryEngineConfig config;
-    config.batch_linger_micros = 0;
-    TEXRHEO_ASSIGN_OR_RETURN(replica.engine,
-                             QueryEngine::Create(config, snapshot, corpus));
+    TEXRHEO_ASSIGN_OR_RETURN(
+        replica.engine,
+        QueryEngine::Create(texrheo::serve::QueryEngineConfig{}, snapshot,
+                            corpus));
     replica.server = std::make_unique<LineProtocolServer>(
         replica.engine.get(), texrheo::serve::ServerOptions{});
     TEXRHEO_RETURN_IF_ERROR(replica.server->Start());
@@ -354,7 +354,6 @@ int Main(int argc, char** argv) {
   tracer.ExportDurationsTo(metrics.get());
 
   texrheo::serve::QueryEngineConfig config;
-  config.num_threads = 0;  // Serving: use the hardware.
   config.metrics = metrics;
   config.tracer = &tracer;
   auto engine_or = texrheo::serve::QueryEngine::Create(

@@ -87,7 +87,6 @@ Stack MakeStack(const std::string& dir, FileOps& ops = FileOps::Real()) {
   stack.corpus = BaseCorpus();
   serve::QueryEngineConfig engine_config;
   engine_config.fold_in_sweeps = 10;
-  engine_config.batch_linger_micros = 0;
   auto snapshot = serve::ServingSnapshot::FromModel(BaseModel(), "base");
   EXPECT_TRUE(snapshot.ok());
   auto engine =
@@ -276,7 +275,6 @@ TEST(IngestChaosTest, RollingReloadDyingPartwayConvergesOnRetry) {
   recipe::Dataset corpus_c = BaseCorpus();
   serve::QueryEngineConfig engine_config;
   engine_config.fold_in_sweeps = 10;
-  engine_config.batch_linger_micros = 0;
   auto snapshot = serve::ServingSnapshot::FromModel(BaseModel(), "base");
   ASSERT_TRUE(snapshot.ok());
   auto engine_b = serve::QueryEngine::Create(engine_config, *snapshot,

@@ -114,7 +114,7 @@ TEST(MetricsRegistryTest, HistogramsFlowIntoSnapshots) {
   EXPECT_EQ(h->max_micros, 400u);
 }
 
-// The METRICSZ schema is a public contract: stable keys, schema_version 1,
+// The METRICSZ schema is a public contract: stable keys, schema_version 2,
 // and a rendered document that parses back to the same values.
 TEST(MetricsRegistryTest, JsonSchemaRoundTrips) {
   MetricsRegistry registry;
@@ -129,7 +129,7 @@ TEST(MetricsRegistryTest, JsonSchemaRoundTrips) {
 
   const JsonValue* version = parsed->Find("schema_version");
   ASSERT_NE(version, nullptr);
-  EXPECT_DOUBLE_EQ(version->AsNumber(), 1.0);
+  EXPECT_DOUBLE_EQ(version->AsNumber(), 2.0);
 
   const JsonValue* counters = parsed->Find("counters");
   ASSERT_NE(counters, nullptr);

@@ -135,7 +135,6 @@ std::vector<std::string> ServeAndCollect(const std::string& model_file,
 
   serve::QueryEngineConfig config;
   config.fold_in_sweeps = 10;
-  config.batch_linger_micros = 0;
   auto engine = serve::QueryEngine::Create(config, *snapshot, corpus);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
 

@@ -1,5 +1,5 @@
-// QueryEngine: all four query types, result caching, micro-batching,
-// admission control, concurrent mixed-type queries, and hot reload with
+// QueryEngine: all four query types, result caching, fold-in stream
+// determinism, admission control and deadlines, concurrent mixed-type queries, and hot reload with
 // zero in-flight failures. Runs on a hand-built two-topic model so the
 // suite stays fast; ci.sh re-runs it under TSan.
 
@@ -76,7 +76,6 @@ recipe::Dataset TinyCorpus() {
 QueryEngineConfig FastConfig() {
   QueryEngineConfig config;
   config.fold_in_sweeps = 10;
-  config.batch_linger_micros = 0;  // Tests shouldn't sleep.
   return config;
 }
 
@@ -122,7 +121,7 @@ TEST(QueryEngineTest, PredictTextureAnswersAndCaches) {
   QueryEngineStats stats = (*engine)->GetStats();
   EXPECT_EQ(stats.cache.hits, 1u);
   EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.batcher.submitted, 1u);  // Only the miss folded in.
+  EXPECT_EQ(stats.batcher.admitted, 1u);  // Only the miss folded in.
   EXPECT_EQ(stats.predict.count, 2u);
 }
 
@@ -617,21 +616,20 @@ TEST(QueryEngineTest, StatszMentionsEverySection) {
   ASSERT_TRUE((*engine)->PredictTexture(HardQuery()).ok());
   std::string statsz = (*engine)->Statsz();
   for (const char* section :
-       {"model:", "cache:", "batcher:", "errors:", "predict_texture:",
+       {"model:", "cache:", "fold_in:", "errors:", "predict_texture:",
         "nearest_rheology:", "similar_recipes:", "topic_card:"}) {
     EXPECT_NE(statsz.find(section), std::string::npos) << section;
   }
 }
 
 TEST(QueryEngineTest, AdmissionControlShedsWithUnavailable) {
-  // max_queue 1 with a batcher throttled by a slow fold-in: flood with
-  // distinct queries from several threads and require at least one clean
-  // Unavailable shed plus zero crashes.
+  // max_in_flight 1 with a slow fold-in: flood with distinct queries from
+  // several threads and require at least one clean Unavailable shed plus
+  // zero crashes.
   QueryEngineConfig config = FastConfig();
   config.cache_capacity = 0;  // Every query must fold in.
-  config.max_queue = 1;
-  config.batch_max_size = 1;
-  config.fold_in_sweeps = 2000;  // Slow enough to back up the queue.
+  config.max_in_flight = 1;
+  config.fold_in_sweeps = 2000;  // Slow enough for the fold-ins to overlap.
   auto engine = QueryEngine::Create(config, TinySnapshot(), nullptr);
   ASSERT_TRUE(engine.ok());
   std::atomic<int> ok{0}, shed{0}, other{0};
@@ -670,7 +668,7 @@ TEST(QueryEngineTest, ExpiredDeadlineIsShedBeforeFoldIn) {
   ASSERT_TRUE(engine.ok());
 
   // A deadline already in the past must be rejected at admission — it
-  // never occupies a batch slot.
+  // never folds in.
   Deadline expired = std::chrono::steady_clock::now() -
                      std::chrono::milliseconds(10);
   auto result = (*engine)->PredictTexture(HardQuery(), expired);
@@ -679,7 +677,29 @@ TEST(QueryEngineTest, ExpiredDeadlineIsShedBeforeFoldIn) {
 
   QueryEngineStats stats = (*engine)->GetStats();
   EXPECT_GE(stats.batcher.deadline_expired, 1u);
-  EXPECT_EQ(stats.batcher.jobs_processed, 0u);  // Never reached a batch.
+  EXPECT_EQ(stats.batcher.jobs_processed, 0u);  // Never folded in.
+}
+
+TEST(QueryEngineTest, FoldInThatReturnsPastItsDeadlineIsNotAnswered) {
+  // The deadline is checked again when the fold-in returns: a ~200 ms fold
+  // under a 20 ms budget starts in time but ends late, so the caller gets
+  // DeadlineExceeded and the late theta is not cached.
+  QueryEngineConfig config = FastConfig();
+  config.fold_in_sweeps = 1500000;
+  auto engine = QueryEngine::Create(config, TinySnapshot(), nullptr);
+  ASSERT_TRUE(engine.ok());
+
+  auto late = (*engine)->PredictTexture(HardQuery(), DeadlineAfterMillis(20));
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  QueryEngineStats stats = (*engine)->GetStats();
+  EXPECT_EQ(stats.batcher.deadline_expired, 1u);
+  EXPECT_EQ(stats.batcher.jobs_processed, 1u);  // It ran to the end.
+
+  auto again = (*engine)->PredictTexture(HardQuery());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_FALSE(again->from_cache);
+  EXPECT_EQ((*engine)->GetStats().cache.misses, 2u);
 }
 
 TEST(QueryEngineTest, GenerousDeadlineAnswersNormally) {
@@ -691,7 +711,8 @@ TEST(QueryEngineTest, GenerousDeadlineAnswersNormally) {
   ASSERT_TRUE(with_deadline.ok()) << with_deadline.status().ToString();
 
   // Same query without a deadline: identical answer — the deadline only
-  // gates admission, it never perturbs the fold-in arithmetic.
+  // decides whether an answer is given, it never perturbs the fold-in
+  // arithmetic.
   auto fresh = QueryEngine::Create(FastConfig(), TinySnapshot(), nullptr);
   ASSERT_TRUE(fresh.ok());
   auto unlimited = (*fresh)->PredictTexture(HardQuery());
@@ -708,7 +729,7 @@ TEST(QueryEngineTest, SimilarRecipesHonorsDeadline) {
   Deadline expired = std::chrono::steady_clock::now() -
                      std::chrono::milliseconds(10);
   // Terms force the fold-in path (feature-only queries are placed by the
-  // gel Gaussian directly and never enter the batcher).
+  // gel Gaussian directly and never fold in).
   TextureQuery query;
   query.gel_concentration = math::Vector(3, 0.01);
   query.texture_terms = {"katai"};
@@ -717,21 +738,18 @@ TEST(QueryEngineTest, SimilarRecipesHonorsDeadline) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST(QueryEngineTest, ConcurrentBatchedFoldInsMatchSerialResults) {
-  // Determinism across batch layouts: each query's RNG stream is keyed on
-  // its admission sequence, so with a fixed submission order the theta must
-  // not depend on how the dispatcher grouped the jobs.
+TEST(QueryEngineTest, ConcurrentFoldInsMatchSerialResults) {
+  // Determinism across threads: each query's RNG stream is keyed on its
+  // admission sequence, so the thetas must not depend on which caller
+  // thread ran which fold-in, or on how their fold-ins overlapped.
   QueryEngineConfig config = FastConfig();
   config.cache_capacity = 0;
-  config.batch_linger_micros = 500;  // Encourage multi-job batches.
-  config.batch_max_size = 8;
   auto engine = QueryEngine::Create(config, TinySnapshot(), nullptr);
   ASSERT_TRUE(engine.ok());
 
   // One fixed query, submitted 8 times: every submission draws a distinct
   // sequence number (and therefore RNG stream), so the 8 thetas form a
-  // fixed multiset {f(stream 0), ..., f(stream 7)} however they were
-  // batched or raced.
+  // fixed multiset {f(stream 0), ..., f(stream 7)} however they raced.
   TextureQuery query;
   query.gel_concentration = math::Vector(3, 0.005);
   query.texture_terms = {"katai", "purupuru"};
@@ -758,14 +776,11 @@ TEST(QueryEngineTest, ConcurrentBatchedFoldInsMatchSerialResults) {
     return v;
   };
   EXPECT_EQ(sorted(serial), sorted(concurrent));
-  EXPECT_GE((*engine2)->GetStats().batcher.max_batch_size, 1u);
 }
 
 TEST(QueryEngineTest, MixedQueryTypesRaceSafely) {
   auto corpus = TinyCorpus();
-  QueryEngineConfig config = FastConfig();
-  config.num_threads = 2;
-  auto engine = QueryEngine::Create(config, TinySnapshot(), &corpus);
+  auto engine = QueryEngine::Create(FastConfig(), TinySnapshot(), &corpus);
   ASSERT_TRUE(engine.ok());
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;

@@ -519,7 +519,6 @@ TEST(SimilarPinTest, RankingBytesPerMode) {
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     QueryEngineConfig config;
     config.fold_in_sweeps = 10;
-    config.batch_linger_micros = 0;
     auto engine = QueryEngine::Create(config, *snapshot, &corpus);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     std::string bytes;
@@ -577,7 +576,6 @@ TEST(EnginePredictPinTest, ThetaBitsAcrossMissesDeltaFoldsAndAHit) {
   recipe::Dataset corpus = SimilarPinCorpus();
   QueryEngineConfig config;
   config.fold_in_sweeps = 10;
-  config.batch_linger_micros = 0;
   auto engine = QueryEngine::Create(config, *snapshot, &corpus);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 

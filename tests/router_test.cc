@@ -74,7 +74,6 @@ class RouterTest : public ::testing::Test {
   void StartReplica(ReplicaProcess* replica, int port = 0) {
     QueryEngineConfig config;
     config.fold_in_sweeps = 10;
-    config.batch_linger_micros = 0;
     auto engine = QueryEngine::Create(config, snapshot_, nullptr);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     replica->engine = std::move(engine).value();

@@ -51,7 +51,6 @@ class ChaosTest : public ::testing::Test {
     ASSERT_TRUE(snapshot.ok());
     QueryEngineConfig config;
     config.fold_in_sweeps = 10;
-    config.batch_linger_micros = 0;
     auto engine = QueryEngine::Create(config, *snapshot, nullptr);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(engine).value();
@@ -127,8 +126,9 @@ TEST_F(ChaosTest, PartialIoAndEintrPreserveEverySession) {
 
 /// Concurrent sessions with moderate fault rates plus stalls: all commands
 /// answered correctly, server survives, shutdown is clean. This is the
-/// TSan target: connection handlers, the accept loop, the batcher, and
-/// the fault-schedule atomics all race here.
+/// TSan target: connection handlers, the accept loop, the fold-ins they
+/// run and the engine's in-flight counter, and the fault-schedule atomics
+/// all race here.
 TEST_F(ChaosTest, ConcurrentSessionsSurviveChaos) {
   FaultInjectingSocketOps::Options faults;
   faults.partial_recv_every = 3;

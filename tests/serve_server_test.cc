@@ -50,7 +50,6 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(snapshot.ok());
     QueryEngineConfig config;
     config.fold_in_sweeps = 10;
-    config.batch_linger_micros = 0;
     auto engine = QueryEngine::Create(config, *snapshot, nullptr);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(engine).value();
@@ -328,7 +327,6 @@ TEST(ServerProtocolTest, HandleCommandIsUsableWithoutSockets) {
   ASSERT_TRUE(snapshot.ok());
   QueryEngineConfig config;
   config.fold_in_sweeps = 5;
-  config.batch_linger_micros = 0;
   auto engine = QueryEngine::Create(config, *snapshot, nullptr);
   ASSERT_TRUE(engine.ok());
   LineProtocolServer server(engine->get(), ServerOptions{});
