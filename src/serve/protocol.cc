@@ -1,8 +1,8 @@
 #include "serve/protocol.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string_view>
 
@@ -10,7 +10,10 @@ namespace texrheo::serve {
 namespace {
 
 /// Parses all of `token` as a decimal T. Rejects '+', '-' for an unsigned
-/// T, any other character, and values T cannot hold.
+/// T, any other character, and values T cannot hold. A floating T reads
+/// fixed or scientific notation only (no hex), and a value that overflows
+/// or underflows is rejected; "inf" and "nan" parse, for the caller to
+/// refuse.
 template <typename T>
 bool ParseWholeDecimal(std::string_view token, T* value) {
   const char* last = token.data() + token.size();
@@ -50,9 +53,9 @@ StatusOr<std::vector<std::pair<std::string, double>>> ParseIngredientSpec(
       return Status::InvalidArgument("expected name=ratio, got '" + part +
                                      "'");
     }
-    char* end = nullptr;
-    double value = std::strtod(part.c_str() + eq + 1, &end);
-    if (end == part.c_str() + eq + 1 || *end != '\0') {
+    double value = 0.0;
+    if (!ParseWholeDecimal(std::string_view(part).substr(eq + 1), &value) ||
+        !std::isfinite(value)) {
       return Status::InvalidArgument("bad ratio in '" + part + "'");
     }
     out.emplace_back(part.substr(0, eq), value);

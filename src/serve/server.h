@@ -55,8 +55,10 @@ class CommandHandler {
 ///
 /// "-" stands for an empty ingredient list (texture-terms-only query).
 /// Numeric fields parse strictly or get ERR InvalidArgument: N is a whole
-/// unsigned decimal below 2^32 (0 = the engine default), and <topic> / <k>
-/// are decimal ints.
+/// unsigned decimal below 2^32 (0 = the engine default), <topic> / <k>
+/// are decimal ints, and a ratio is a finite double in fixed or scientific
+/// decimal notation (no '+', hex, inf, nan, or under- or overflow) that
+/// must then lie in [0, 1].
 /// STATSZ and METRICSZ render from one MetricsSnapshot of the engine's
 /// registry, so the two pages (and any two counters within one page)
 /// can never contradict each other.
