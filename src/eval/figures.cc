@@ -41,9 +41,14 @@ texrheo::StatusOr<std::vector<RankedRecipe>> RankByEmulsionKL(
                          dish_emulsion_concentration, smoothing));
     ranked.push_back(RankedRecipe{idx, kl});
   }
+  // Ties keep ascending doc_index, the order serve::DocStore's Nearer
+  // gives SIMILAR mode=kl; std::sort alone scrambles more than 16 ties.
   std::sort(ranked.begin(), ranked.end(),
             [](const RankedRecipe& a, const RankedRecipe& b) {
-              return a.divergence < b.divergence;
+              if (a.divergence != b.divergence) {
+                return a.divergence < b.divergence;
+              }
+              return a.doc_index < b.doc_index;
             });
   return ranked;
 }

@@ -34,8 +34,9 @@ struct RankedRecipe {
   double divergence = 0.0;
 };
 
-/// Ranks `doc_indices` (ascending divergence) by discrete KL between each
-/// recipe's emulsion concentration distribution and the dish's.
+/// Ranks `doc_indices` (ascending divergence, ties on ascending doc_index)
+/// by discrete KL between each recipe's emulsion concentration
+/// distribution and the dish's.
 texrheo::StatusOr<std::vector<RankedRecipe>> RankByEmulsionKL(
     const recipe::Dataset& dataset, const std::vector<size_t>& doc_indices,
     const math::Vector& dish_emulsion_concentration,

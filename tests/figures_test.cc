@@ -71,6 +71,28 @@ TEST(RankByEmulsionKLTest, MilkDishRanksMilkRecipesFirst) {
   }
 }
 
+TEST(RankByEmulsionKLTest, TiesKeepAscendingDocIndex) {
+  // 48 recipes share one emulsion row, so every divergence ties; std::sort
+  // with no tie-break scrambles runs of more than 16.
+  recipe::Dataset ds;
+  std::vector<size_t> indices;
+  for (size_t d = 0; d < 48; ++d) {
+    recipe::Document doc;
+    doc.recipe_index = d;
+    doc.emulsion_concentration = {0.0, 0.1, 0.0, 0.2, 0.3, 0.0};
+    ds.documents.push_back(std::move(doc));
+    indices.push_back(d);
+  }
+  math::Vector dish = {0.03, 0.0, 0.0, 0.0, 0.78, 0.0};
+  auto ranked = RankByEmulsionKL(ds, indices, dish);
+  ASSERT_TRUE(ranked.ok());
+  ASSERT_EQ(ranked->size(), 48u);
+  for (size_t i = 0; i < ranked->size(); ++i) {
+    EXPECT_EQ((*ranked)[i].doc_index, i);
+    EXPECT_EQ((*ranked)[i].divergence, (*ranked)[0].divergence);
+  }
+}
+
 TEST(RankByEmulsionKLTest, RejectsOutOfRangeIndex) {
   recipe::Dataset ds = FigureDataset();
   math::Vector dish(6);
