@@ -45,12 +45,12 @@ cmake -B build-tsan -S . -DTEXRHEO_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target thread_pool_test geweke_test sampler_exactness_test \
   query_engine_test serve_snapshot_test joint_topic_model_test \
-  serve_chaos_test router_chaos_test backoff_test metrics_registry_test \
-  trace_test pipeline_e2e_test embed_trainer_test doc_store_test \
-  ingest_test ingest_chaos_test alias_table_test topic_gaussians_test \
-  sparse_gibbs_test checkpoint_test regression_test
+  serve_chaos_test serve_server_test router_chaos_test backoff_test \
+  metrics_registry_test trace_test pipeline_e2e_test embed_trainer_test \
+  doc_store_test ingest_test ingest_chaos_test alias_table_test \
+  topic_gaussians_test sparse_gibbs_test checkpoint_test regression_test
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(thread_pool_test|geweke_test|sampler_exactness_test|query_engine_test|serve_snapshot_test|joint_topic_model_test|serve_chaos_test|router_chaos_test|backoff_test|metrics_registry_test|trace_test|pipeline_e2e_test|embed_trainer_test|doc_store_test|ingest_test|ingest_chaos_test|alias_table_test|topic_gaussians_test|sparse_gibbs_test|checkpoint_test|regression_test)$')
+  -R '^(thread_pool_test|geweke_test|sampler_exactness_test|query_engine_test|serve_snapshot_test|joint_topic_model_test|serve_chaos_test|serve_server_test|router_chaos_test|backoff_test|metrics_registry_test|trace_test|pipeline_e2e_test|embed_trainer_test|doc_store_test|ingest_test|ingest_chaos_test|alias_table_test|topic_gaussians_test|sparse_gibbs_test|checkpoint_test|regression_test)$')
 
 echo "==> ASan/UBSan: rebuild durability-sensitive targets with -fsanitize=address,undefined"
 cmake -B build-asan -S . -DTEXRHEO_SANITIZE=address >/dev/null
@@ -185,7 +185,7 @@ if [[ "$RUN_BENCH" == 1 ]]; then
     --benchmark_out=bench/out/checkpoint.json \
     --benchmark_out_format=json
   echo "wrote bench/out/checkpoint.json"
-  echo "==> bench: query engine (fold-in vs cached, batching under load)"
+  echo "==> bench: query engine (fold-in vs cached, 4 concurrent clients)"
   ./build/bench/bench_perf \
     --benchmark_filter='BM_QueryEngine' \
     --benchmark_out=bench/out/serve.json \
