@@ -325,29 +325,28 @@ StatusOr<std::vector<double>> QueryEngine::FoldIn(
     return Status::DeadlineExceeded(
         "request deadline expired before fold-in admission");
   }
-  if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-      config_.max_in_flight) {
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  if (in_flight_.fetch_add(1) >= config_.max_in_flight) {
+    in_flight_.fetch_sub(1);
     fold_shed_->Increment();
     return Status::Unavailable("fold-in capacity full (" +
                                std::to_string(config_.max_in_flight) +
                                " in flight); retry later");
   }
   fold_admitted_->Increment();
+  uint64_t parent = 0;
+  if (admission != nullptr) {
+    admission->End();
+    parent = admission->span_id();
+  }
   obs::TraceSpan fold;
   if (config_.tracer != nullptr) {
-    uint64_t parent = 0;
-    if (admission != nullptr) {
-      admission->End();
-      parent = admission->span_id();
-    }
     fold = config_.tracer->StartSpanWithParent("fold_in", parent);
   }
   Rng rng = Rng::ForStream(config_.seed, sequence);
   StatusOr<std::vector<double>> theta = snapshot.FoldInTheta(
       term_ids, gel_feature, config_.fold_in_sweeps, config_.alpha, rng);
   fold.End();
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  in_flight_.fetch_sub(1);
   fold_completed_->Increment();
   return theta;
 }
