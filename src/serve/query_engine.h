@@ -180,10 +180,10 @@ struct DeltaStats {
   uint64_t delta_generation = 0;
 };
 
-/// Fold-in admission counters (serve.fold_in.*). The field is still called
-/// `batcher`, with `jobs_processed` and `batches`, because the repository
-/// benchmark reads these names; every fold-in runs alone, so batches is
-/// always jobs_processed.
+/// Fold-in admission counters (serve.fold_in.*). QueryEngineStats names
+/// this field `batcher`, and it carries `jobs_processed` and `batches`,
+/// because the repository benchmark reads those names; every fold-in runs
+/// alone, so batches always equals jobs_processed.
 struct FoldInStats {
   uint64_t admitted = 0;
   uint64_t shed = 0;  ///< Rejected: max_in_flight fold-ins were running.
@@ -268,15 +268,15 @@ class QueryEngine {
   /// Folds an accepted streamed recipe into the live serving state via the
   /// eq.-5 path, on the caller's thread and under the same admission
   /// control and pre-fold deadline check as PredictTexture, and returns the
-  /// topic it landed in; the recipe is queryable when the call returns. Delta documents join
-  /// SimilarRecipes rankings with recipe_index >= the indexed corpus size,
-  /// scored exactly as a corpus recipe with the same content. The delta
-  /// belongs to the serving state the recipe was folded against, so a
-  /// Reload starts an empty one (a refreshed model has absorbed the
-  /// recipes; the ingest layer re-folds any it has not). A nonzero
-  /// `ingest_sequence` already resident in the delta is not folded again:
-  /// the call returns the resident record's topic. Not counted as a query
-  /// — the ingest layer keeps its own pipeline counters.
+  /// topic it landed in; the recipe is queryable when the call returns.
+  /// Delta documents join SimilarRecipes rankings with recipe_index >= the
+  /// indexed corpus size, scored exactly as a corpus recipe with the same
+  /// content. The delta belongs to the serving state the recipe was folded
+  /// against, so a Reload starts an empty one (a refreshed model has
+  /// absorbed the recipes; the ingest layer re-folds any it has not). A
+  /// nonzero `ingest_sequence` already resident in the delta is not folded
+  /// again: the call returns the resident record's topic. Not counted as a
+  /// query — the ingest layer keeps its own pipeline counters.
   StatusOr<int> FoldInDelta(const TextureQuery& query,
                             uint64_t ingest_sequence,
                             Deadline deadline = kNoDeadline);

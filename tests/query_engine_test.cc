@@ -1,7 +1,8 @@
 // QueryEngine: all four query types, result caching, fold-in stream
-// determinism, admission control and deadlines, concurrent mixed-type queries, and hot reload with
-// zero in-flight failures. Runs on a hand-built two-topic model so the
-// suite stays fast; ci.sh re-runs it under TSan.
+// determinism, admission control and deadlines, concurrent mixed-type
+// queries, and hot reload with zero in-flight failures. Runs on a
+// hand-built two-topic model so the suite stays fast; ci.sh re-runs it
+// under TSan.
 
 #include "serve/query_engine.h"
 
