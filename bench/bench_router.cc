@@ -116,7 +116,7 @@ std::vector<std::string> BuildQueryMix() {
 }
 
 /// Zipf(s=1.07) CDF over the mix: a hot head (cache hits on the owning
-/// replica) and a long tail (fold-in misses keep the batcher honest).
+/// replica) and a long tail (fold-in misses keep admission control honest).
 std::vector<double> ZipfCdf(size_t n) {
   std::vector<double> cdf(n);
   double total = 0.0;

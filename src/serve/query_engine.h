@@ -48,8 +48,8 @@ struct QueryEngineConfig {
   /// that would make more than this many run at once is shed with
   /// Unavailable.
   size_t max_in_flight = 256;
-  /// Ignored: there is no fold-in queue left to linger in. Kept only
-  /// because the repository benchmark's reference replay still sets it.
+  /// Ignored by the engine. Kept only because the repository benchmark's
+  /// reference replay assigns it.
   int batch_linger_micros = 0;
 
   /// Result sizing.
