@@ -86,173 +86,6 @@ BENCHMARK(BM_GibbsSweep)
     ->Args({16000, 20})
     ->Unit(benchmark::kMillisecond);
 
-// --- Sparse vs dense z-sampler (BM_SparseGibbsSweep) -------------------
-//
-// ci.sh --bench filters on 'BM_SparseGibbsSweep' and writes the JSON to
-// bench/out/gibbs_sparse.json, then gates on the sparse speedup at K = 64:
-// sweeps_per_sec of the {64, sparse} entry must be >= 5x the {64, dense}
-// entry. Args are {num_topics, sparse_sampler}.
-//
-// The corpus is synthetic and deliberately z-heavy: the generator corpora
-// behind SharedDataset() survive the ingestion funnel as a few hundred
-// documents with ~3 tokens each, so a sweep there is dominated by the
-// shared y / Gaussian / likelihood phases and measures nothing about the
-// z-sampler decomposition. Here each document draws 600 tokens from a
-// 2-theme mixture over an 8000-term vocabulary, which (a) gives the
-// per-token dense K-loop a topic-word matrix too large for cache, exactly
-// the regime AliasLDA targets, and (b) concentrates n_dk on a handful of
-// topics so the active lists are genuinely sparse after burn-in. Burn-in
-// happens outside the timed region so those lists reach equilibrium
-// sparsity (a freshly initialized chain has near-uniform n_dk and flatters
-// neither path); the likelihood trace is thinned so the timed sweep is the
-// sampler, not the O(tokens) diagnostic pass; iterations are timed with a
-// wall clock for the same reason as BM_GibbsSweepThreads.
-const recipe::Dataset& SparseBenchDataset() {
-  static recipe::Dataset& ds = *new recipe::Dataset([] {
-    recipe::Dataset built;
-    constexpr size_t kDocs = 250, kDocLen = 1200, kVocab = 8000, kThemes = 40;
-    constexpr double kPurity = 0.95;
-    for (size_t v = 0; v < kVocab; ++v) {
-      built.term_vocab.Add("term" + std::to_string(v));
-    }
-    Rng rng(20220919);
-    const size_t words_per_theme = kVocab / kThemes;
-    for (size_t d = 0; d < kDocs; ++d) {
-      recipe::Document doc;
-      doc.recipe_index = d;
-      const size_t theme_a = rng.NextUint(kThemes);
-      const size_t theme_b = rng.NextUint(kThemes);
-      for (size_t n = 0; n < kDocLen; ++n) {
-        const size_t theme = rng.NextDouble() < kPurity ? theme_a : theme_b;
-        doc.term_ids.push_back(static_cast<int32_t>(
-            theme * words_per_theme + rng.NextUint(words_per_theme)));
-      }
-      doc.gel_feature = math::Vector(1, static_cast<double>(theme_a));
-      doc.emulsion_feature = math::Vector(1, 0.0);
-      doc.gel_concentration = math::Vector(1, 0.01);
-      doc.emulsion_concentration = math::Vector(1, 0.1);
-      built.documents.push_back(std::move(doc));
-    }
-    built.funnel.final_dataset = built.documents.size();
-    return built;
-  }());
-  return ds;
-}
-
-void BM_SparseGibbsSweep(benchmark::State& state) {
-  const recipe::Dataset& ds = SparseBenchDataset();
-  core::JointTopicModelConfig config;
-  config.num_topics = static_cast<int>(state.range(0));
-  config.sparse_sampler = state.range(1) != 0;
-  // One MH step per token is throughput-optimal here: the proposal is exact
-  // over the sparse bucket and the measured accept rate is ~1.0 after
-  // burn-in, so extra steps only re-confirm the same draw. alpha matches
-  // the sparse regime the decomposition is built for (small document-topic
-  // smoothing keeps the stale bucket mass, and hence MH churn, low).
-  config.mh_steps = 1;
-  config.alpha = 0.05;
-  config.likelihood_interval = 64;
-  // A long rebuild interval amortizes the O(K * V) alias reconstruction;
-  // staleness only degrades the proposal (and the MH step corrects that),
-  // so throughput benchmarks run at the amortization-friendly end.
-  config.alias_rebuild_interval = 32;
-  auto model = core::JointTopicModel::Create(config, &ds);
-  if (!model.ok()) {
-    state.SkipWithError("model create failed");
-    return;
-  }
-  if (!model->RunSweeps(25).ok()) {
-    state.SkipWithError("burn-in failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto start = std::chrono::steady_clock::now();
-    if (!model->RunSweeps(1).ok()) {
-      state.SkipWithError("sweep failed");
-      return;
-    }
-    state.SetIterationTime(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
-  }
-  state.counters["topics"] = static_cast<double>(state.range(0));
-  state.counters["sparse"] = static_cast<double>(state.range(1));
-  state.counters["sweeps_per_sec"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ds.documents.size()));
-}
-BENCHMARK(BM_SparseGibbsSweep)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The gated speedup measurement. BM_SparseGibbsSweep times each sampler in
-// its own benchmark entry, which means the two legs run seconds apart; on a
-// shared host a load window that lands on one leg but not the other skews
-// the ratio in either direction, and per-leg medians cannot repair a skew
-// that covers a whole leg. Here both chains advance inside one timing loop
-// (one dense sweep, then one sparse sweep, per iteration), so any
-// slowdown longer than a single ~60 ms pair dilates both numerators by the
-// same factor and cancels out of the ratio. ci.sh gates on the median
-// "speedup" counter across repetitions. The per-chain clocks are separated
-// so the entry still reports absolute sweeps/sec for both samplers.
-void BM_SparseGibbsSpeedup(benchmark::State& state) {
-  const recipe::Dataset& ds = SparseBenchDataset();
-  auto make = [&](bool sparse) {
-    core::JointTopicModelConfig config;
-    config.num_topics = static_cast<int>(state.range(0));
-    config.sparse_sampler = sparse;
-    config.mh_steps = 1;
-    config.alpha = 0.05;
-    config.likelihood_interval = 64;
-    config.alias_rebuild_interval = 32;
-    return core::JointTopicModel::Create(config, &ds);
-  };
-  auto dense = make(false);
-  auto sparse = make(true);
-  if (!dense.ok() || !sparse.ok()) {
-    state.SkipWithError("model create failed");
-    return;
-  }
-  if (!dense->RunSweeps(25).ok() || !sparse->RunSweeps(25).ok()) {
-    state.SkipWithError("burn-in failed");
-    return;
-  }
-  double dense_seconds = 0.0;
-  double sparse_seconds = 0.0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (!dense->RunSweeps(1).ok()) {
-      state.SkipWithError("dense sweep failed");
-      return;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    if (!sparse->RunSweeps(1).ok()) {
-      state.SkipWithError("sparse sweep failed");
-      return;
-    }
-    const auto t2 = std::chrono::steady_clock::now();
-    dense_seconds += std::chrono::duration<double>(t1 - t0).count();
-    sparse_seconds += std::chrono::duration<double>(t2 - t1).count();
-    state.SetIterationTime(std::chrono::duration<double>(t2 - t0).count());
-  }
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["dense_sweeps_per_sec"] = iters / dense_seconds;
-  state.counters["sparse_sweeps_per_sec"] = iters / sparse_seconds;
-  state.counters["speedup"] = dense_seconds / sparse_seconds;
-}
-BENCHMARK(BM_SparseGibbsSpeedup)
-    ->Arg(64)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Parallel-engine scaling: full z + y sweeps per second as a function of
 // num_threads (1 = bit-exact serial chain; > 1 = AD-LDA sharded engine).
 // The "sweeps_per_sec" counter is what ci.sh extracts from the JSON output

@@ -15,7 +15,9 @@ constexpr char kMagic[8] = {'T', 'X', 'R', 'C', 'K', 'P', 'T', '1'};
 // v2: fingerprint grew the sparse-sampler knobs and the payload grew the
 // stale alias-bank section. v1 readers no longer exist anywhere (no
 // long-lived checkpoint files are shipped), so the version is bumped
-// rather than branched on.
+// rather than branched on. The sparse sampler has since been removed; its
+// slots are still written (as zeros) so the layout, and every dense
+// checkpoint written under v2, stays valid.
 constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint32_t) +
                                sizeof(uint64_t);
@@ -198,30 +200,15 @@ Status StructuralCheck(const CheckpointState& state) {
       return Status::InvalidArgument("checkpoint: missing topic statistics");
     }
   }
-  if (fp.sparse_sampler &&
-      (fp.alias_rebuild_interval < 1 || fp.mh_steps < 1)) {
-    return Status::InvalidArgument(
-        "checkpoint: invalid sparse-sampler fingerprint knobs");
-  }
-  if (!state.stale_n_k.empty()) {
-    if (state.stale_n_k.size() != k_count ||
-        state.stale_n_kv.size() != k_count) {
-      return Status::InvalidArgument(
-          "checkpoint: stale alias snapshot topic count mismatch");
-    }
-    for (const auto& row : state.stale_n_kv) {
-      if (row.size() != v_count) {
-        return Status::InvalidArgument(
-            "checkpoint: stale alias snapshot row size mismatch");
-      }
-    }
-    if (state.last_alias_rebuild_sweep < 0 ||
-        state.last_alias_rebuild_sweep > state.completed_sweeps) {
-      return Status::InvalidArgument(
-          "checkpoint: stale alias rebuild epoch out of range");
-    }
-  }
   return Status::OK();
+}
+
+/// A nonzero sparse-sampler fingerprint byte or stale alias-section flag
+/// marks a frame written by the removed sparse z-sampler.
+Status SparseFrameRefused() {
+  return Status::FailedPrecondition(
+      "checkpoint: written by the removed sparse z-sampler; it cannot "
+      "resume");
 }
 
 /// Parses "ckpt-<sweep>.ckpt"; returns -1 when the name does not match.
@@ -242,13 +229,11 @@ int SweepOfFileName(const std::string& name) {
 std::string CheckpointFingerprint::ToString() const {
   return StrFormat(
       "sampler=%d K=%d alpha=%.12g gamma=%.12g seed=%llu threads=%d "
-      "optimize_alpha=%d emulsion=%d gmm_init=%d sparse=%d alias_R=%d "
-      "mh_steps=%d docs=%llu vocab=%llu",
+      "optimize_alpha=%d emulsion=%d gmm_init=%d docs=%llu vocab=%llu",
       static_cast<int>(sampler), num_topics, alpha, gamma,
       static_cast<unsigned long long>(seed), num_threads,
       optimize_alpha ? 1 : 0, use_emulsion_likelihood ? 1 : 0,
-      gmm_init ? 1 : 0, sparse_sampler ? 1 : 0, alias_rebuild_interval,
-      mh_steps, static_cast<unsigned long long>(num_documents),
+      gmm_init ? 1 : 0, static_cast<unsigned long long>(num_documents),
       static_cast<unsigned long long>(vocab_size));
 }
 
@@ -264,9 +249,11 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
   Put<uint8_t>(payload, fp.optimize_alpha ? 1 : 0);
   Put<uint8_t>(payload, fp.use_emulsion_likelihood ? 1 : 0);
   Put<uint8_t>(payload, fp.gmm_init ? 1 : 0);
-  Put<uint8_t>(payload, fp.sparse_sampler ? 1 : 0);
-  Put(payload, fp.alias_rebuild_interval);
-  Put(payload, fp.mh_steps);
+  // The removed sparse sampler's slots: its flag, rebuild interval and MH
+  // steps.
+  Put<uint8_t>(payload, 0);
+  Put<int32_t>(payload, 0);
+  Put<int32_t>(payload, 0);
   Put(payload, fp.num_documents);
   Put(payload, fp.vocab_size);
 
@@ -300,13 +287,7 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
     Put<uint64_t>(payload, state.emulsion_stats.size());
     for (const auto& s : state.emulsion_stats) PutTopicStats(payload, s);
   }
-  Put<uint8_t>(payload, state.stale_n_k.empty() ? 0 : 1);
-  if (!state.stale_n_k.empty()) {
-    Put(payload, state.last_alias_rebuild_sweep);
-    Put<uint64_t>(payload, state.stale_n_kv.size());
-    for (const auto& row : state.stale_n_kv) PutI32Vec(payload, row);
-    PutI32Vec(payload, state.stale_n_k);
-  }
+  Put<uint8_t>(payload, 0);  // The removed stale alias-section flag.
 
   std::string frame;
   frame.reserve(kHeaderSize + payload.size() + sizeof(uint32_t));
@@ -365,9 +346,10 @@ StatusOr<CheckpointState> DecodeCheckpoint(std::string_view bytes) {
   fp.optimize_alpha = reader.Take<uint8_t>() != 0;
   fp.use_emulsion_likelihood = reader.Take<uint8_t>() != 0;
   fp.gmm_init = reader.Take<uint8_t>() != 0;
-  fp.sparse_sampler = reader.Take<uint8_t>() != 0;
-  fp.alias_rebuild_interval = reader.Take<int32_t>();
-  fp.mh_steps = reader.Take<int32_t>();
+  // The removed sparse sampler's slots; only a frame it wrote sets the flag.
+  if (reader.Take<uint8_t>() != 0) return SparseFrameRefused();
+  reader.Take<int32_t>();  // Its alias rebuild interval.
+  reader.Take<int32_t>();  // Its MH steps.
   fp.num_documents = reader.Take<uint64_t>();
   fp.vocab_size = reader.Take<uint64_t>();
 
@@ -445,22 +427,7 @@ StatusOr<CheckpointState> DecodeCheckpoint(std::string_view bytes) {
       state.emulsion_stats.push_back(std::move(s));
     }
   }
-  if (reader.Take<uint8_t>() != 0) {
-    state.last_alias_rebuild_sweep = reader.Take<int32_t>();
-    uint64_t stale_rows = reader.Take<uint64_t>();
-    if (reader.failed() || stale_rows > 1u << 20) {
-      return Status::InvalidArgument(
-          "checkpoint: bad stale snapshot row count");
-    }
-    for (uint64_t k = 0; k < stale_rows; ++k) {
-      state.stale_n_kv.push_back(reader.TakeVec<int32_t>());
-    }
-    state.stale_n_k = reader.TakeVec<int32_t>();
-    if (reader.failed() || state.stale_n_k.size() != stale_rows) {
-      return Status::InvalidArgument(
-          "checkpoint: malformed stale alias snapshot");
-    }
-  }
+  if (reader.Take<uint8_t>() != 0) return SparseFrameRefused();
 
   if (reader.failed()) {
     return Status::InvalidArgument("checkpoint: truncated payload");

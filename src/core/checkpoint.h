@@ -44,15 +44,6 @@ struct CheckpointFingerprint {
   bool optimize_alpha = false;
   bool use_emulsion_likelihood = false;
   bool gmm_init = false;
-  /// Sparse/alias/MH sampler knobs (JointTopicModel only). They change the
-  /// RNG consumption pattern and therefore the trajectory, so a sparse
-  /// checkpoint can only resume under the identical knobs. When
-  /// sparse_sampler is false the interval/steps are stored as 0 regardless
-  /// of configuration — the knobs are inert on the dense path, and pinning
-  /// them would spuriously refuse valid resumes.
-  bool sparse_sampler = false;
-  int32_t alias_rebuild_interval = 0;
-  int32_t mh_steps = 0;
   uint64_t num_documents = 0;
   uint64_t vocab_size = 0;
 
@@ -93,17 +84,6 @@ struct CheckpointState {
   /// SamplerKind::kCollapsed only.
   std::vector<TopicStatsSnapshot> gel_stats;
   std::vector<TopicStatsSnapshot> emulsion_stats;
-  /// Sparse sampler only: the stale alias-bank snapshot (the count matrices
-  /// the proposal tables were last rebuilt from) and its rebuild epoch.
-  /// Storing the integer snapshot instead of the alias tables keeps the
-  /// format small and machine-independent within the chain: Rebuild() is a
-  /// deterministic function of these counts, so restore reconstructs the
-  /// exact proposal distribution and the resumed run replays the identical
-  /// rebuild schedule — bit-exact resume even when the crash lands between
-  /// rebuilds. Empty when the sparse sampler never built its tables.
-  int32_t last_alias_rebuild_sweep = -1;
-  std::vector<std::vector<int32_t>> stale_n_kv;
-  std::vector<int32_t> stale_n_k;
 };
 
 /// Serializes `state` into a framed, checksummed byte string.
@@ -112,7 +92,8 @@ std::string EncodeCheckpoint(const CheckpointState& state);
 /// Parses and validates a frame produced by EncodeCheckpoint. Any
 /// truncation (every strict prefix), trailing garbage, checksum mismatch,
 /// or structurally inconsistent payload is rejected with a clean Status —
-/// never a crash, never a partially populated state.
+/// never a crash, never a partially populated state. A frame written by the
+/// removed sparse z-sampler is refused with FailedPrecondition.
 StatusOr<CheckpointState> DecodeCheckpoint(std::string_view bytes);
 
 /// Writes `state` to `path` via the atomic write-temp + fsync + rename

@@ -152,9 +152,7 @@ void CollapsedJointTopicModel::SampleZ() {
                      config_.alpha,
                      config_.gamma,
                      config_.gamma * static_cast<double>(vocab_size_)};
-  engine_.SweepZ(sweep, rng_, [&](size_t, const TopicCountDelta& delta) {
-    return DenseTokenDraw(sweep, delta);
-  });
+  engine_.SweepZ(sweep, rng_);
 }
 
 texrheo::Status CollapsedJointTopicModel::SampleY() {

@@ -91,7 +91,7 @@ class CollapsedJointTopicModel {
                            const recipe::Dataset* dataset);
 
   texrheo::Status Initialize();
-  /// Eq.-2 phase: the shard engine runs SweepZShard with the dense draw.
+  /// Eq.-2 phase: the shard engine runs SweepZShard over every shard.
   void SampleZ();
   /// Eq.-3 phase: SampleYShard over every shard. One shard updates the
   /// live statistics in place (the serial chain); several each sample

@@ -50,17 +50,6 @@ texrheo::StatusOr<math::Gaussian> PosteriorMean(
   return math::NormalWishartMean(post);
 }
 
-/// Cache hint for a term's K counts (first and last line of the slice).
-void PrefetchSlice(const int* slice, size_t k_count) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(slice);
-  __builtin_prefetch(slice + k_count - 1);
-#else
-  (void)slice;
-  (void)k_count;
-#endif
-}
-
 bool GaussianIsFinite(const math::Gaussian& g) {
   for (size_t i = 0; i < g.dim(); ++i) {
     if (!std::isfinite(g.mean()[i])) return false;
@@ -100,12 +89,6 @@ texrheo::StatusOr<JointTopicModel> JointTopicModel::Create(
   if (config.num_threads < 0) {
     return Status::InvalidArgument(
         "joint topic model: num_threads must be >= 0");
-  }
-  if (config.sparse_sampler &&
-      (config.alias_rebuild_interval < 1 || config.mh_steps < 1)) {
-    return Status::InvalidArgument(
-        "joint topic model: sparse sampler requires "
-        "alias_rebuild_interval >= 1 and mh_steps >= 1");
   }
   if (config.likelihood_interval < 1) {
     return Status::InvalidArgument(
@@ -178,7 +161,6 @@ texrheo::Status JointTopicModel::InitializeAssignments() {
       }
     }
   }
-  if (config_.sparse_sampler) RebuildActiveLists();
   return ResampleGaussians();
 }
 
@@ -225,248 +207,6 @@ void JointTopicModel::RebuildGaussianSoA() {
   emu_soa_ = TopicGaussiansSoA::FromGaussians(emulsion_topics_);
 }
 
-void JointTopicModel::RebuildActiveLists() {
-  active_.resize(n_dk_.size());
-  for (size_t d = 0; d < n_dk_.size(); ++d) active_[d].Reset(n_dk_[d]);
-}
-
-void JointTopicModel::MaybeRebuildStaleBank() {
-  if (!config_.sparse_sampler) return;
-  if (stale_.built() && completed_sweeps_ - stale_.last_rebuild_sweep() <
-                            config_.alias_rebuild_interval) {
-    return;
-  }
-  stale_.Rebuild(TopicRows(n_vk_, static_cast<size_t>(config_.num_topics)),
-                 n_k_, config_.gamma,
-                 config_.gamma * static_cast<double>(vocab_size_),
-                 completed_sweeps_);
-  ++sweep_alias_rebuilds_;
-}
-
-/// Sparse + alias + MH eq.-2 draw (config.sparse_sampler). Per shard it
-/// keeps the reciprocal topic totals 1/(n_k + delta + gamma V), turning the
-/// per-topic division of eq. 2 into a multiply; each entry is recomputed
-/// from the counts on every move, never adjusted incrementally, so a
-/// resumed run rebuilds the identical cache and stays bit-exact. It also
-/// maintains the document active-topic lists the sparse bucket enumerates.
-/// The stale bank is read-only during a sweep (rebuilds happen between
-/// sweeps), so shards share it.
-class JointTopicModel::SparseTokenDraw {
- public:
-  SparseTokenDraw(JointTopicModel& model, const TopicCountDelta& delta,
-                  SparseTally& tally)
-      : model_(model),
-        delta_(delta),
-        tally_(tally),
-        gamma_v_(model.config_.gamma *
-                 static_cast<double>(model.vocab_size_)),
-        inv_denom_(model.n_k_.size()),
-        inv_denom_removed_(model.n_k_.size()),
-        sparse_w_(model.n_k_.size() + 1) {
-    for (size_t k = 0; k < inv_denom_.size(); ++k) Refresh(k);
-  }
-
-  /// The stale bank and the counts span megabytes on a large vocabulary,
-  /// so their per-token lookups are the main cost once the buckets are
-  /// small.
-  void Prefetch(size_t v) const {
-    model_.stale_.PrefetchTerm(v);
-    PrefetchSlice(delta_.Slice(model_.n_vk_.data(), v), model_.n_k_.size());
-  }
-
-  /// One MH-corrected draw. `debug`, when non-null, captures the per-topic
-  /// proposal decomposition (see SparseProposalDebug) and returns old_k
-  /// before any MH step or RNG draw.
-  int Draw(const TokenView& t, Rng& rng, SparseProposalDebug* debug = nullptr);
-
-  void Moved(size_t d, const std::vector<int>& doc_counts, int old_k,
-             int new_k) {
-    const size_t ok = static_cast<size_t>(old_k);
-    const size_t nk = static_cast<size_t>(new_k);
-    ActiveTopicList& active = model_.active_[d];
-    if (doc_counts[ok] == 0) active.OnDecrement(old_k);
-    if (doc_counts[nk] == 1) active.OnIncrement(new_k);
-    Refresh(ok);
-    Refresh(nk);
-  }
-
- private:
-  /// Recomputes topic k's 1 / (n_k + delta + gamma V), and the same with
-  /// one token removed (read when k is the token's current topic).
-  void Refresh(size_t k) {
-    const int n = model_.n_k_[k] + delta_.n_k[k];
-    inv_denom_[k] = 1.0 / (static_cast<double>(n) + gamma_v_);
-    inv_denom_removed_[k] = 1.0 / (static_cast<double>(n - 1) + gamma_v_);
-  }
-
-  JointTopicModel& model_;
-  const TopicCountDelta& delta_;
-  SparseTally& tally_;
-  double gamma_v_;
-  std::vector<double> inv_denom_;
-  std::vector<double> inv_denom_removed_;
-  std::vector<double> sparse_w_;
-};
-
-int JointTopicModel::SparseTokenDraw::Draw(const TokenView& t, Rng& rng,
-                                           SparseProposalDebug* debug) {
-  const JointTopicModelConfig& config = model_.config_;
-  const StaleAliasBank& stale = model_.stale_;
-  const double alpha = config.alpha;
-  const double gamma = config.gamma;
-  const size_t v = t.v;
-  const int old_k = t.old_k;
-  const int y_d = t.y_d;
-  const std::vector<int>& topics = model_.active_[t.d].topics();
-  const double inv_denom_removed =
-      inv_denom_removed_[static_cast<size_t>(old_k)];
-  // Exact smoothed term weight of topic k under the collapsed-Gibbs
-  // "token removed" state: (n_kv^- + gamma) / (n_k^- + gamma V). The view
-  // still counts the token; the removal is applied here as a -1 on old_k's
-  // term count plus the reciprocal of old_k's decremented topic total, so
-  // topics that keep their token need no count writes at all.
-  auto term_weight = [&](int k) {
-    const size_t ks = static_cast<size_t>(k);
-    const int nkv = t.term_counts[ks];
-    if (k == old_k) {
-      return (static_cast<double>(nkv) - 1.0 + gamma) * inv_denom_removed;
-    }
-    return (static_cast<double>(nkv) + gamma) * inv_denom_[ks];
-  };
-  // Document-topic coefficient under the removed state:
-  // n_dk^- + I[y_d = k].
-  auto doc_coef = [&](int k) {
-    return static_cast<double>(t.doc_counts[static_cast<size_t>(k)]) -
-           (k == old_k ? 1.0 : 0.0) + (k == y_d ? 1.0 : 0.0);
-  };
-  // Sparse bucket: s(k) = (n_dk^- + I[y_d = k]) * w(k) over the document's
-  // active topics, plus one extra slot for y_d when its *physical* count is
-  // zero — membership in the active list is keyed on physical counts, so
-  // that is exactly when its indicator mass is invisible to the loop below.
-  // A physical count of zero implies y_d != old_k (old_k's physical count
-  // still includes this token), so the removed state never matters for the
-  // gate. In particular, when y_d == old_k and this is its last token, the
-  // active-list slot already carries the indicator (coefficient 0 - 1 + 1 =
-  // 1); gating on the removed count would add a second slot for the same
-  // topic and give it proposal mass the acceptance ratio's per-topic mass
-  // (coef * w + alpha * q, counted once) does not see — violating detailed
-  // balance exactly in that corner. For old_k != y_d on its last token the
-  // active slot has coefficient zero and is inert, as intended.
-  double sparse_total = 0.0;
-  const size_t active_count = topics.size();
-  for (size_t i = 0; i < active_count; ++i) {
-    const int k = topics[i];
-    const double w = doc_coef(k) * term_weight(k);
-    sparse_w_[i] = w;
-    sparse_total += w;
-  }
-  size_t bucket_count = active_count;
-  int extra_k = -1;
-  if (t.doc_counts[static_cast<size_t>(y_d)] == 0) {
-    extra_k = y_d;
-    const double w = term_weight(y_d);
-    sparse_w_[bucket_count++] = w;
-    sparse_total += w;
-  }
-  // Dense bucket: alpha * q_stale(k, v) served by the alias table; only its
-  // total mass is needed up front.
-  const double dense_total = alpha * stale.q_total(v);
-
-  if (debug != nullptr) {
-    // Test seam: report the proposal mass each topic actually receives from
-    // the buckets just built, next to the per-topic mass the acceptance
-    // ratio recomputes (coef * w + alpha * q). Detailed balance of the
-    // independence-MH step requires the two to be identical arrays. Draws
-    // no RNG and returns before any MH step.
-    const size_t k_count = static_cast<size_t>(config.num_topics);
-    debug->bucket_mass.assign(k_count, 0.0);
-    debug->ratio_mass.assign(k_count, 0.0);
-    for (size_t i = 0; i < active_count; ++i) {
-      debug->bucket_mass[static_cast<size_t>(topics[i])] += sparse_w_[i];
-    }
-    if (extra_k >= 0) {
-      debug->bucket_mass[static_cast<size_t>(extra_k)] +=
-          sparse_w_[active_count];
-    }
-    for (size_t k = 0; k < k_count; ++k) {
-      const int ki = static_cast<int>(k);
-      debug->bucket_mass[k] += alpha * stale.q(v, k);
-      debug->ratio_mass[k] =
-          doc_coef(ki) * term_weight(ki) + alpha * stale.q(v, k);
-    }
-    debug->last_token_of_self_topic =
-        old_k == y_d && t.doc_counts[static_cast<size_t>(old_k)] == 1;
-    return old_k;
-  }
-
-  // Independence-MH: the proposal prop(k) = s(k) + alpha q_stale(k, v) is
-  // fixed for the whole token (counts minus the token do not change between
-  // steps), so each accept/reject targets the exact eq.-2 conditional
-  // p(k) = (n_dk^- + I[y_d = k] + alpha) * w(k) with ratio
-  // (p(t) prop(cur)) / (p(cur) prop(t)); the shared normalizer cancels.
-  int cur = old_k;
-  for (int step = 0; step < config.mh_steps; ++step) {
-    ++tally_.proposals;
-    const double u = rng.NextDouble() * (sparse_total + dense_total);
-    int prop;
-    if (u < sparse_total) {
-      ++tally_.sparse_hits;
-      size_t i = 0;
-      double acc = sparse_w_[0];
-      while (u > acc && i + 1 < bucket_count) {
-        ++i;
-        acc += sparse_w_[i];
-      }
-      prop = i < active_count ? topics[i] : extra_k;
-    } else {
-      prop = stale.SampleStale(v, rng);
-    }
-    if (prop == cur) {
-      ++tally_.accepts;
-      continue;
-    }
-    const size_t ps = static_cast<size_t>(prop);
-    const size_t cs = static_cast<size_t>(cur);
-    const double w_prop = term_weight(prop);
-    const double w_cur = term_weight(cur);
-    const double coef_prop = doc_coef(prop);
-    const double coef_cur = doc_coef(cur);
-    const double p_prop = (coef_prop + alpha) * w_prop;
-    const double p_cur = (coef_cur + alpha) * w_cur;
-    const double mass_prop = coef_prop * w_prop + alpha * stale.q(v, ps);
-    const double mass_cur = coef_cur * w_cur + alpha * stale.q(v, cs);
-    const double ratio = (p_prop * mass_cur) / (p_cur * mass_prop);
-    if (ratio >= 1.0 || rng.NextDouble() < ratio) {
-      cur = prop;
-      ++tally_.accepts;
-    }
-  }
-  return cur;
-}
-
-texrheo::StatusOr<JointTopicModel::SparseProposalDebug>
-JointTopicModel::DebugSparseProposal(size_t d, size_t n) {
-  if (!config_.sparse_sampler) {
-    return texrheo::Status::FailedPrecondition(
-        "DebugSparseProposal requires config.sparse_sampler");
-  }
-  if (d >= z_.size() || n >= z_[d].size()) {
-    return texrheo::Status::OutOfRange("token index out of range");
-  }
-  MaybeRebuildStaleBank();
-  engine_.Ensure();
-  // Between sweeps no delta holds a move, so shard 0's view is the counts.
-  const TopicCountDelta& delta = engine_.delta(0);
-  const size_t v = static_cast<size_t>(docs_->documents[d].term_ids[n]);
-  SparseTally tally;
-  SparseTokenDraw draw(*this, delta, tally);
-  SparseProposalDebug debug;
-  draw.Draw(TokenView{d, v, z_[d][n], y_[d], n_dk_[d].data(),
-                      delta.Slice(n_vk_.data(), v)},
-            rng_, &debug);
-  return debug;
-}
-
 ZSweep JointTopicModel::MakeZSweep() {
   return ZSweep{&docs_->documents,
                 &y_,
@@ -480,25 +220,7 @@ ZSweep JointTopicModel::MakeZSweep() {
                 config_.gamma * static_cast<double>(vocab_size_)};
 }
 
-void JointTopicModel::SampleZ() {
-  const ZSweep sweep = MakeZSweep();
-  if (!config_.sparse_sampler) {
-    engine_.SweepZ(sweep, rng_, [&](size_t, const TopicCountDelta& delta) {
-      return DenseTokenDraw(sweep, delta);
-    });
-    return;
-  }
-  engine_.Ensure();
-  std::vector<SparseTally> tallies(engine_.num_shards());
-  engine_.SweepZ(sweep, rng_, [&](size_t s, const TopicCountDelta& delta) {
-    return SparseTokenDraw(*this, delta, tallies[s]);
-  });
-  for (const SparseTally& tally : tallies) {
-    sweep_mh_proposals_ += tally.proposals;
-    sweep_mh_accepts_ += tally.accepts;
-    sweep_sparse_hits_ += tally.sparse_hits;
-  }
-}
+void JointTopicModel::SampleZ() { engine_.SweepZ(MakeZSweep(), rng_); }
 
 texrheo::Status JointTopicModel::SampleY() {
   const Status status = engine_.ForEachShard(rng_, [&](size_t s, Rng& rng) {
@@ -585,8 +307,6 @@ void JointTopicModel::SetObservability(obs::MetricsRegistry* metrics,
   if (metrics_ == nullptr) {
     obs_sweeps_ = obs_checkpoints_ = nullptr;
     obs_likelihood_ = obs_alpha_ = obs_alpha_drift_ = nullptr;
-    obs_alias_rebuilds_ = obs_sparse_hits_ = nullptr;
-    obs_mh_accept_ = nullptr;
     obs_sweep_us_ = obs_sample_us_ = obs_gaussian_us_ = nullptr;
     return;
   }
@@ -595,9 +315,6 @@ void JointTopicModel::SetObservability(obs::MetricsRegistry* metrics,
   obs_likelihood_ = metrics_->RegisterGauge("train.log_likelihood");
   obs_alpha_ = metrics_->RegisterGauge("train.alpha");
   obs_alpha_drift_ = metrics_->RegisterGauge("train.alpha_drift");
-  obs_alias_rebuilds_ = metrics_->RegisterCounter("train.alias_rebuilds");
-  obs_sparse_hits_ = metrics_->RegisterCounter("train.sparse_bucket_hits");
-  obs_mh_accept_ = metrics_->RegisterGauge("train.mh_accept_rate");
   obs_sweep_us_ = metrics_->RegisterHistogram("train.sweep_us");
   obs_sample_us_ = metrics_->RegisterHistogram("train.shard_sample_us");
   obs_gaussian_us_ = metrics_->RegisterHistogram("train.gaussian_update_us");
@@ -614,12 +331,6 @@ texrheo::Status JointTopicModel::RunSweeps(int n) {
   for (int sweep = 0; sweep < n; ++sweep) {
     obs::TraceSpan sweep_span;
     if (tracer_ != nullptr) sweep_span = tracer_->StartSpan("sweep");
-    // The tallies feed the sparse-sampler metrics; they are plain integer
-    // updates with no RNG draws, so maintaining them unconditionally keeps
-    // instrumentation trajectory-inert.
-    sweep_mh_proposals_ = sweep_mh_accepts_ = 0;
-    sweep_sparse_hits_ = sweep_alias_rebuilds_ = 0;
-    MaybeRebuildStaleBank();
     const int64_t t_start = observed ? clock->NowMicros() : 0;
     {
       obs::TraceSpan sample_span;
@@ -664,18 +375,6 @@ texrheo::Status JointTopicModel::RunSweeps(int n) {
       if (trace_due) obs_likelihood_->Set(ll);
       obs_alpha_->Set(config_.alpha);
       obs_alpha_drift_->Set(config_.alpha - initial_alpha_);
-      if (config_.sparse_sampler) {
-        if (sweep_alias_rebuilds_ > 0) {
-          obs_alias_rebuilds_->Increment(sweep_alias_rebuilds_);
-        }
-        if (sweep_sparse_hits_ > 0) {
-          obs_sparse_hits_->Increment(sweep_sparse_hits_);
-        }
-        if (sweep_mh_proposals_ > 0) {
-          obs_mh_accept_->Set(static_cast<double>(sweep_mh_accepts_) /
-                              static_cast<double>(sweep_mh_proposals_));
-        }
-      }
       obs_sample_us_->Record(t_sampled - t_start);
       obs_gaussian_us_->Record(t_gaussians - t_sampled);
       obs_sweep_us_->Record(clock->NowMicros() - t_start);
@@ -712,13 +411,6 @@ CheckpointFingerprint JointTopicModel::MakeFingerprint() const {
   fp.optimize_alpha = config_.optimize_alpha;
   fp.use_emulsion_likelihood = config_.use_emulsion_likelihood;
   fp.gmm_init = config_.gmm_init;
-  fp.sparse_sampler = config_.sparse_sampler;
-  if (config_.sparse_sampler) {
-    // The knobs shape the RNG consumption pattern, so they pin the resume;
-    // on the dense path they are inert and stay at the struct defaults.
-    fp.alias_rebuild_interval = config_.alias_rebuild_interval;
-    fp.mh_steps = config_.mh_steps;
-  }
   fp.num_documents = docs_->documents.size();
   fp.vocab_size = vocab_size_;
   return fp;
@@ -741,11 +433,6 @@ CheckpointState JointTopicModel::CaptureCheckpoint() const {
   state.gel_topics = gel_topics_;
   state.emulsion_topics = emulsion_topics_;
   state.likelihood_trace = likelihood_trace_;
-  if (config_.sparse_sampler && stale_.built()) {
-    state.last_alias_rebuild_sweep = stale_.last_rebuild_sweep();
-    state.stale_n_kv = ToCheckpointRows(stale_.stale_n_kv());
-    state.stale_n_k = ToCheckpointInts(stale_.stale_n_k());
-  }
   return state;
 }
 
@@ -765,24 +452,6 @@ texrheo::Status JointTopicModel::RestoreFromCheckpoint(
     return Status::InvalidArgument(
         "checkpoint is missing instantiated topic Gaussians");
   }
-  if (config_.sparse_sampler && !state.stale_n_k.empty()) {
-    if (state.stale_n_kv.size() != k_count ||
-        state.stale_n_k.size() != k_count) {
-      return Status::InvalidArgument(
-          "checkpoint stale alias snapshot has the wrong topic count");
-    }
-    for (const auto& row : state.stale_n_kv) {
-      if (row.size() != vocab_size_) {
-        return Status::InvalidArgument(
-            "checkpoint stale alias snapshot has the wrong vocabulary size");
-      }
-    }
-    if (state.last_alias_rebuild_sweep < 0 ||
-        state.last_alias_rebuild_sweep > state.completed_sweeps) {
-      return Status::InvalidArgument(
-          "checkpoint stale alias rebuild epoch out of range");
-    }
-  }
   TEXRHEO_RETURN_IF_ERROR(engine_.ValidateStreams(state));
   // All validation happens above this line so a rejected checkpoint never
   // leaves the model partially restored.
@@ -799,22 +468,6 @@ texrheo::Status JointTopicModel::RestoreFromCheckpoint(
   completed_sweeps_ = state.completed_sweeps;
   config_.alpha = state.current_alpha;
   rng_.RestoreState(state.master_rng);
-  if (config_.sparse_sampler) {
-    RebuildActiveLists();
-    if (!state.stale_n_k.empty()) {
-      // Rebuild() is deterministic in the snapshot counts, so this
-      // reconstructs the exact proposal tables the crashed run was using,
-      // and replaying the rebuild schedule from last_alias_rebuild_sweep
-      // keeps the resumed chain bit-exact even when the checkpoint landed
-      // between rebuilds.
-      stale_.Rebuild(FromCheckpointRows(state.stale_n_kv),
-                     FromCheckpointInts(state.stale_n_k), config_.gamma,
-                     config_.gamma * static_cast<double>(vocab_size_),
-                     state.last_alias_rebuild_sweep);
-    } else {
-      stale_.Clear();
-    }
-  }
   engine_.RestoreStreams(state);
   return Status::OK();
 }
@@ -916,13 +569,6 @@ texrheo::Status JointTopicModel::WarmStartFromCheckpoint(
   // The document count changed, so any checkpointed shard plan is stale;
   // the engine replans (and re-splits its RNG streams) lazily.
   engine_.Reset();
-  if (config_.sparse_sampler) {
-    RebuildActiveLists();
-    // The corpus (and possibly the vocabulary) grew, so the checkpointed
-    // proposal snapshot no longer matches the count dimensions; dropping
-    // it forces a fresh rebuild on the first warm sweep.
-    stale_.Clear();
-  }
   return ResampleGaussians();
 }
 

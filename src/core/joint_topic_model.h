@@ -8,7 +8,6 @@
 
 #include "core/checkpoint.h"
 #include "core/parallel_gibbs.h"
-#include "core/sparse_gibbs.h"
 #include "core/topic_gaussians.h"
 #include "math/distributions.h"
 #include "obs/metrics.h"
@@ -85,29 +84,6 @@ struct JointTopicModelConfig {
   /// fixed (seed, num_threads) because every shard draws from its own
   /// SplitMix64-split RNG stream.
   int num_threads = 1;
-
-  /// Sub-O(K) z sampling (SparseLDA/AliasLDA-style). Selects the per-token
-  /// draw policy of the shared shard kernel (SweepZShard); the sweep itself
-  /// is the same at every thread count. When true, the eq.-2 draw is
-  /// decomposed into a sparse bucket over only the topics active in the
-  /// document plus a dense stale bucket served from per-term alias tables
-  /// rebuilt every `alias_rebuild_interval` sweeps, with `mh_steps`
-  /// Metropolis-Hastings accept/reject steps against the exact conditional;
-  /// false uses the dense draw over all K topics. The stationary
-  /// distribution is *identical* to the dense sampler's (certified by the
-  /// Geweke stale-alias leg and the moment-equivalence tests); the
-  /// trajectory is not, because the RNG consumption pattern differs —
-  /// hence false by default, keeping every pre-existing seed-pinned run
-  /// bit-exact.
-  bool sparse_sampler = false;
-  /// Sweeps between alias-table rebuilds (the staleness knob R). Larger
-  /// values amortize rebuild cost over more sweeps at the price of a more
-  /// drifted proposal (lower MH acceptance); correctness is unaffected at
-  /// any R >= 1 because the MH step corrects the drift exactly.
-  int alias_rebuild_interval = 8;
-  /// MH proposal/accept steps per token. Each step costs O(1) given the
-  /// buckets; more steps track the exact conditional tighter per sweep.
-  int mh_steps = 2;
 
   /// Sweeps between entries of the joint log-likelihood trace (>= 1). The
   /// likelihood pass is O(tokens) with two log() evaluations per token, so
@@ -291,31 +267,6 @@ class JointTopicModel {
   /// Pass nullptr to restore the real filesystem. Not owned.
   void set_checkpoint_file_ops(FileOps* ops) { checkpoint_file_ops_ = ops; }
 
-  /// Test seam (sparse sampler): per-topic decomposition of the MH proposal
-  /// for token (d, n), computed two ways by the *production* bucket code —
-  /// `bucket_mass[k]` is the mass topic k actually receives from the
-  /// sparse/extra/dense buckets as built, `ratio_mass[k]` is the per-topic
-  /// proposal mass the acceptance ratio assumes (coef * w + alpha * q).
-  /// Detailed balance requires the arrays to be bit-identical; the
-  /// certification tier pins this on the old_k == y_d last-token corner
-  /// (flagged by `last_token_of_self_topic`), where a miscounted extra
-  /// y_d slot would double topic y_d's proposal mass.
-  struct SparseProposalDebug {
-    std::vector<double> bucket_mass;
-    std::vector<double> ratio_mass;
-    /// True when this token is the only one of its topic in the document
-    /// and y_d equals that topic (the double-count hazard case).
-    bool last_token_of_self_topic = false;
-  };
-
-  /// Builds the buckets for token (d, n) exactly as a sweep would (alias
-  /// bank rebuilt if stale) and returns the decomposition above. Draws no
-  /// RNG and leaves the chain state untouched apart from a possible
-  /// scheduled alias rebuild. FailedPrecondition unless sparse_sampler is
-  /// configured; OutOfRange for a bad token index.
-  texrheo::StatusOr<SparseProposalDebug> DebugSparseProposal(size_t d,
-                                                             size_t n);
-
   /// Attaches the trainer to an observability layer (either may be null;
   /// neither is owned and both must outlive the model). With `metrics` set,
   /// every sweep exports its timing breakdown (train.sweep_us,
@@ -337,8 +288,7 @@ class JointTopicModel {
   texrheo::Status InitializePriors();
   texrheo::Status InitializeAssignments();
   texrheo::Status ResampleGaussians();
-  /// Eq.-2 phase: the shard engine runs SweepZShard over every shard with
-  /// the configured draw policy (dense, or SparseTokenDraw).
+  /// Eq.-2 phase: the shard engine runs SweepZShard over every shard.
   void SampleZ();
   /// Eq.-3 phase: SampleYShard over every shard, then m_k_ is recounted
   /// from y_. Returns the first shard's Internal, in shard order, when a
@@ -349,22 +299,7 @@ class JointTopicModel {
   /// Gaussians, so shards sample exactly the conditionals a serial scan
   /// would.
   texrheo::Status SampleYShard(std::pair<size_t, size_t> range, Rng& rng);
-  /// The sparse + alias + MH draw policy for SweepZShard (see
-  /// config.sparse_sampler); defined in the .cc.
-  class SparseTokenDraw;
-  /// One shard's MH tallies for a sweep; cache-line aligned because every
-  /// MH step bumps them while the other shards bump theirs.
-  struct alignas(64) SparseTally {
-    uint64_t proposals = 0;
-    uint64_t accepts = 0;
-    uint64_t sparse_hits = 0;
-  };
   ZSweep MakeZSweep();
-  /// Rebuilds the stale alias bank when the schedule says so (first sweep
-  /// or R sweeps since the last rebuild). No-op on the dense path.
-  void MaybeRebuildStaleBank();
-  /// Re-derives every document's active-topic list from n_dk_.
-  void RebuildActiveLists();
   /// Repacks gel_soa_/emu_soa_ from the current instantiated Gaussians.
   void RebuildGaussianSoA();
   CheckpointFingerprint MakeFingerprint() const;
@@ -391,9 +326,6 @@ class JointTopicModel {
   obs::Gauge* obs_likelihood_ = nullptr;
   obs::Gauge* obs_alpha_ = nullptr;
   obs::Gauge* obs_alpha_drift_ = nullptr;
-  obs::Counter* obs_alias_rebuilds_ = nullptr;
-  obs::Counter* obs_sparse_hits_ = nullptr;
-  obs::Gauge* obs_mh_accept_ = nullptr;
   LatencyHistogram* obs_sweep_us_ = nullptr;
   LatencyHistogram* obs_sample_us_ = nullptr;
   LatencyHistogram* obs_gaussian_us_ = nullptr;
@@ -416,15 +348,6 @@ class JointTopicModel {
   // between repacks, so const readers (FoldInTheta) may share them.
   TopicGaussiansSoA gel_soa_;
   TopicGaussiansSoA emu_soa_;
-  // Sparse-sampler state (populated only when config_.sparse_sampler).
-  std::vector<ActiveTopicList> active_;  ///< One per document.
-  StaleAliasBank stale_;
-  // Per-sweep MH tallies (plain integers, no RNG, updated regardless of
-  // whether metrics are attached — instrumentation stays trajectory-inert).
-  uint64_t sweep_mh_proposals_ = 0;
-  uint64_t sweep_mh_accepts_ = 0;
-  uint64_t sweep_sparse_hits_ = 0;
-  uint64_t sweep_alias_rebuilds_ = 0;
 
   int completed_sweeps_ = 0;
   std::vector<double> likelihood_trace_;

@@ -3,6 +3,49 @@
 #include <algorithm>
 
 namespace texrheo::core {
+namespace {
+
+/// Dense eq.-2 draw: the exact conditional over all K topics,
+///   (n_dk^- + I[y_d = k] + alpha) * (n_kv^- + gamma) / (n_k^- + gamma V),
+/// with the token removed by integer arithmetic before any conversion, so
+/// every weight is bit-identical to the one an in-place decrement gives.
+class DenseTokenDraw {
+ public:
+  DenseTokenDraw(const ZSweep& sweep, const TopicCountDelta& delta)
+      : sweep_(sweep), delta_(delta), weights_(sweep.num_topics) {}
+
+  /// `doc` is the token's n_dk row and `term` the shard's effective counts
+  /// of its term, both still counting the token.
+  int Draw(const int* doc, const int* term, int old_k, int y_d, Rng& rng) {
+    // Locals, not member reads: the weight stores could otherwise alias
+    // the sweep's doubles and force a reload every iteration.
+    const int* n_k = sweep_.n_k->data();
+    const int* delta_n_k = delta_.n_k.data();
+    const double alpha = sweep_.alpha;
+    const double gamma = sweep_.gamma;
+    const double gamma_v = sweep_.gamma_v;
+    double* w = weights_.data();
+    const size_t k_count = weights_.size();
+    for (size_t k = 0; k < k_count; ++k) {
+      const int ki = static_cast<int>(k);
+      const int removed = ki == old_k ? 1 : 0;
+      const double doc_part = static_cast<double>(doc[k] - removed) +
+                              (y_d == ki ? 1.0 : 0.0) + alpha;
+      const double word_part =
+          (static_cast<double>(term[k] - removed) + gamma) /
+          (static_cast<double>(n_k[k] + delta_n_k[k] - removed) + gamma_v);
+      w[k] = doc_part * word_part;
+    }
+    return static_cast<int>(rng.NextCategorical(weights_));
+  }
+
+ private:
+  const ZSweep& sweep_;
+  const TopicCountDelta& delta_;
+  std::vector<double> weights_;
+};
+
+}  // namespace
 
 int ResolveNumThreads(int configured) {
   if (configured == 0) return ThreadPool::HardwareConcurrency();
@@ -51,6 +94,37 @@ std::vector<int> TermMajor(const std::vector<std::vector<int>>& rows) {
     for (size_t v = 0; v < vocab; ++v) n_vk[v * num_topics + k] = rows[k][v];
   }
   return n_vk;
+}
+
+void SweepZShard(const ZSweep& sweep, std::pair<size_t, size_t> range,
+                 TopicCountDelta& delta, Rng& rng) {
+  DenseTokenDraw draw(sweep, delta);
+  const int* counts = sweep.n_vk->data();
+  for (size_t d = range.first; d < range.second; ++d) {
+    const std::vector<int32_t>& terms = (*sweep.docs)[d].term_ids;
+    std::vector<int>& z = (*sweep.z)[d];
+    std::vector<int>& doc_counts = (*sweep.n_dk)[d];
+    const int y_d = (*sweep.y)[d];
+    for (size_t n = 0; n < terms.size(); ++n) {
+      const size_t v = static_cast<size_t>(terms[n]);
+      const int old_k = z[n];
+      const int new_k = draw.Draw(doc_counts.data(), delta.Slice(counts, v),
+                                  old_k, y_d, rng);
+      if (new_k == old_k) continue;
+      z[n] = new_k;
+      --doc_counts[static_cast<size_t>(old_k)];
+      ++doc_counts[static_cast<size_t>(new_k)];
+      delta.Move(counts, v, old_k, new_k);
+    }
+  }
+}
+
+void ShardEngine::SweepZ(const ZSweep& sweep, Rng& master) {
+  ForEachShard(master, [&](size_t s, Rng& rng) {
+    SweepZShard(sweep, shards_[s], deltas_[s], rng);
+    return Status::OK();
+  });
+  MergeDeltas(*sweep.n_vk, *sweep.n_k);
 }
 
 void ShardEngine::Ensure() {

@@ -79,8 +79,8 @@ struct TopicCountDelta {
   std::vector<int> n_k;              ///< [k] topic-total delta.
 };
 
-/// Term-major counts [v * K + k] as topic rows [k][v] (the layout of the
-/// checkpoint and the stale alias bank), and back.
+/// Term-major counts [v * K + k] as topic rows [k][v] (the checkpoint's
+/// layout), and back.
 std::vector<std::vector<int>> TopicRows(const std::vector<int>& n_vk,
                                         size_t num_topics);
 std::vector<int> TermMajor(const std::vector<std::vector<int>>& rows);
@@ -102,100 +102,14 @@ struct ZSweep {
   double gamma_v;  ///< gamma * V.
 };
 
-/// What a per-token draw sees: the token's document row and term slice,
-/// with the token still counted (a draw removes it virtually, as a -1 on
-/// old_k's counts, so the kernel only writes counts when the topic moves).
-struct TokenView {
-  size_t d;
-  size_t v;
-  int old_k;
-  int y_d;
-  const int* doc_counts;   ///< n_dk[d][0..K).
-  const int* term_counts;  ///< The shard's effective counts of term v.
-};
-
 /// The eq.-2 shard kernel: redraws z for every token of documents
-/// [range.first, range.second) through `draw`, against the frozen counts
-/// plus `delta`. The draw policy supplies
-///   void Prefetch(size_t v) const;          // cache hint for the next term
-///   int Draw(const TokenView&, Rng&);       // the new topic
-///   void Moved(size_t d, const std::vector<int>& doc_counts,
-///              int old_k, int new_k);       // after the counts moved
-template <typename DrawPolicy>
+/// [range.first, range.second) from the exact conditional over all K topics
+/// (DenseTokenDraw, in the .cc), against the frozen counts plus `delta`.
+/// The token stays counted while its topic is drawn (the draw removes it
+/// virtually, as a -1 on old_k's counts), so counts are written only when
+/// the topic moves.
 void SweepZShard(const ZSweep& sweep, std::pair<size_t, size_t> range,
-                 TopicCountDelta& delta, Rng& rng, DrawPolicy& draw) {
-  const int* counts = sweep.n_vk->data();
-  for (size_t d = range.first; d < range.second; ++d) {
-    const std::vector<int32_t>& terms = (*sweep.docs)[d].term_ids;
-    std::vector<int>& z = (*sweep.z)[d];
-    std::vector<int>& doc_counts = (*sweep.n_dk)[d];
-    for (size_t n = 0; n < terms.size(); ++n) {
-      // Lets the draw hide the next token's lookups behind this token's
-      // work. Pure cache hints: the draw itself is untouched.
-      if (n + 1 < terms.size()) {
-        draw.Prefetch(static_cast<size_t>(terms[n + 1]));
-      }
-      const size_t v = static_cast<size_t>(terms[n]);
-      const int old_k = z[n];
-      const int new_k =
-          draw.Draw(TokenView{d, v, old_k, (*sweep.y)[d], doc_counts.data(),
-                              delta.Slice(counts, v)},
-                    rng);
-      if (new_k == old_k) continue;
-      z[n] = new_k;
-      --doc_counts[static_cast<size_t>(old_k)];
-      ++doc_counts[static_cast<size_t>(new_k)];
-      delta.Move(counts, v, old_k, new_k);
-      draw.Moved(d, doc_counts, old_k, new_k);
-    }
-  }
-}
-
-/// Dense eq.-2 draw: the exact conditional over all K topics,
-///   (n_dk^- + I[y_d = k] + alpha) * (n_kv^- + gamma) / (n_k^- + gamma V),
-/// with the token removed by integer arithmetic before any conversion, so
-/// every weight is bit-identical to the one an in-place decrement gives.
-class DenseTokenDraw {
- public:
-  DenseTokenDraw(const ZSweep& sweep, const TopicCountDelta& delta)
-      : sweep_(sweep), delta_(delta), weights_(sweep.num_topics) {}
-
-  void Prefetch(size_t) const {}
-
-  int Draw(const TokenView& t, Rng& rng) {
-    // Locals, not member reads: the weight stores could otherwise alias
-    // the sweep's doubles and force a reload every iteration.
-    const int* n_k = sweep_.n_k->data();
-    const int* delta_n_k = delta_.n_k.data();
-    const int* doc = t.doc_counts;
-    const int* term = t.term_counts;
-    const int old_k = t.old_k;
-    const int y_d = t.y_d;
-    const double alpha = sweep_.alpha;
-    const double gamma = sweep_.gamma;
-    const double gamma_v = sweep_.gamma_v;
-    double* w = weights_.data();
-    const size_t k_count = weights_.size();
-    for (size_t k = 0; k < k_count; ++k) {
-      const int ki = static_cast<int>(k);
-      const int removed = ki == old_k ? 1 : 0;
-      const double doc_part = static_cast<double>(doc[k] - removed) +
-                              (y_d == ki ? 1.0 : 0.0) + alpha;
-      const double word_part =
-          (static_cast<double>(term[k] - removed) + gamma) /
-          (static_cast<double>(n_k[k] + delta_n_k[k] - removed) + gamma_v);
-      w[k] = doc_part * word_part;
-    }
-    return static_cast<int>(rng.NextCategorical(weights_));
-  }
-
-  void Moved(size_t, const std::vector<int>&, int, int) {}
-
- private:
-  const ZSweep& sweep_;
-  const TopicCountDelta& delta_;
-  std::vector<double> weights_;
-};
+                 TopicCountDelta& delta, Rng& rng);
 
 /// Owns the shard plan, the worker pool, the per-shard RNG streams and
 /// count deltas, and their checkpoint capture/validate/restore. The plan is
@@ -240,20 +154,9 @@ class ShardEngine {
   }
 
   /// One eq.-2 sweep: every shard runs SweepZShard against the frozen
-  /// counts with its own delta and the policy make_draw(s, delta) returns,
-  /// then the deltas merge into sweep.n_vk / sweep.n_k in shard order.
-  template <typename MakeDraw>
-  void SweepZ(const ZSweep& sweep, Rng& master, MakeDraw&& make_draw) {
-    ForEachShard(master, [&](size_t s, Rng& rng) {
-      auto draw = make_draw(s, deltas_[s]);
-      SweepZShard(sweep, shards_[s], deltas_[s], rng, draw);
-      return Status::OK();
-    });
-    MergeDeltas(*sweep.n_vk, *sweep.n_k);
-  }
-
-  /// Shard s's delta (it holds no moves between sweeps).
-  const TopicCountDelta& delta(size_t s) const { return deltas_[s]; }
+  /// counts with its own delta, then the deltas merge into sweep.n_vk /
+  /// sweep.n_k in shard order.
+  void SweepZ(const ZSweep& sweep, Rng& master);
 
   /// Records the per-shard streams (none for the num_threads == 1 chain,
   /// which draws from the master stream alone).

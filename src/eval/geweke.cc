@@ -213,9 +213,6 @@ JointTopicModelConfig HarnessModelConfig(const GewekeConfig& cfg,
   model.emulsion_prior = cfg.gel_prior;
   model.use_emulsion_likelihood = false;
   model.num_threads = 1;
-  model.sparse_sampler = cfg.sparse_sampler;
-  model.alias_rebuild_interval = cfg.alias_rebuild_interval;
-  model.mh_steps = cfg.mh_steps;
   model.seed = seed;
   return model;
 }
@@ -247,10 +244,6 @@ texrheo::StatusOr<GewekeResult> RunGewekeTest(const GewekeConfig& config) {
   if (cfg.forward_samples < 2 || cfg.gibbs_samples < 2 || cfg.thin < 1 ||
       cfg.burn_in < 0) {
     return Status::InvalidArgument("geweke: degenerate sample schedule");
-  }
-  if (cfg.sparse_sampler && cfg.sampler != SamplerKind::kInstantiated) {
-    return Status::InvalidArgument(
-        "geweke: sparse_sampler applies to the instantiated sampler only");
   }
 
   size_t num_stats = std::size(kStatisticNames);
@@ -392,33 +385,15 @@ texrheo::Status RunMoments(const JointTopicModelConfig& config,
   return AccumulateMoments(model, burn_in, measure, acc);
 }
 
-}  // namespace
-
-texrheo::StatusOr<MomentEquivalenceResult> CompareSerialVsParallelMoments(
-    const core::JointTopicModelConfig& base_config,
-    const recipe::Dataset& dataset, SamplerKind sampler, int parallel_threads,
-    int burn_in_sweeps, int measure_sweeps) {
-  if (parallel_threads < 2) {
-    return Status::InvalidArgument(
-        "moment equivalence: parallel_threads must be >= 2");
-  }
-  JointTopicModelConfig serial_config = base_config;
-  serial_config.num_threads = 1;
-  JointTopicModelConfig parallel_config = base_config;
-  parallel_config.num_threads = parallel_threads;
-  return CompareConfigsMoments(serial_config, parallel_config, dataset,
-                               sampler, burn_in_sweeps, measure_sweeps);
-}
-
+/// Trains one chain per config on `dataset` and reports the aligned
+/// posterior-moment differences between them. The configs differ only in
+/// trajectory-shaping knobs, so they share num_topics (<= 8: alignment
+/// enumerates topic permutations).
 texrheo::StatusOr<MomentEquivalenceResult> CompareConfigsMoments(
     const core::JointTopicModelConfig& config_a,
     const core::JointTopicModelConfig& config_b,
     const recipe::Dataset& dataset, SamplerKind sampler, int burn_in_sweeps,
     int measure_sweeps) {
-  if (config_a.num_topics != config_b.num_topics) {
-    return Status::InvalidArgument(
-        "moment equivalence: configs must share num_topics");
-  }
   if (config_a.num_topics > 8) {
     return Status::InvalidArgument(
         "moment equivalence: topic alignment enumerates permutations; "
@@ -479,6 +454,24 @@ texrheo::StatusOr<MomentEquivalenceResult> CompareConfigsMoments(
     }
   }
   return result;
+}
+
+}  // namespace
+
+texrheo::StatusOr<MomentEquivalenceResult> CompareSerialVsParallelMoments(
+    const core::JointTopicModelConfig& base_config,
+    const recipe::Dataset& dataset, SamplerKind sampler, int parallel_threads,
+    int burn_in_sweeps, int measure_sweeps) {
+  if (parallel_threads < 2) {
+    return Status::InvalidArgument(
+        "moment equivalence: parallel_threads must be >= 2");
+  }
+  JointTopicModelConfig serial_config = base_config;
+  serial_config.num_threads = 1;
+  JointTopicModelConfig parallel_config = base_config;
+  parallel_config.num_threads = parallel_threads;
+  return CompareConfigsMoments(serial_config, parallel_config, dataset,
+                               sampler, burn_in_sweeps, measure_sweeps);
 }
 
 }  // namespace texrheo::eval

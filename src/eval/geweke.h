@@ -54,15 +54,6 @@ struct GewekeConfig {
   /// RunGewekeTest when left empty) to a vague 1-D prior.
   math::NormalWishartParams gel_prior;
 
-  /// Drive the sparse/alias/MH z sampler instead of the dense one
-  /// (kInstantiated only). With alias_rebuild_interval >> 1 the proposal
-  /// tables go deliberately stale between rebuilds — the leg that certifies
-  /// the MH correction leaves the stationary distribution exactly eq. 2
-  /// even under a drifted proposal.
-  bool sparse_sampler = false;
-  int alias_rebuild_interval = 8;
-  int mh_steps = 2;
-
   /// Marginal-conditional side: independent forward replicates.
   int forward_samples = 2000;
   /// Successive-conditional side: recorded samples, spaced `thin` Gibbs
@@ -106,19 +97,6 @@ texrheo::StatusOr<MomentEquivalenceResult> CompareSerialVsParallelMoments(
     const core::JointTopicModelConfig& base_config,
     const recipe::Dataset& dataset, SamplerKind sampler, int parallel_threads,
     int burn_in_sweeps, int measure_sweeps);
-
-/// General form: trains one chain per config on `dataset` and reports the
-/// aligned posterior-moment differences between them. The two configs may
-/// differ in any trajectory-shaping knob (thread count, sparse_sampler,
-/// alias staleness, seed); both must share num_topics (<= 8, alignment
-/// enumerates topic permutations). CompareSerialVsParallelMoments is the
-/// thread-count specialization; the sparse-vs-dense equivalence tests use
-/// this directly.
-texrheo::StatusOr<MomentEquivalenceResult> CompareConfigsMoments(
-    const core::JointTopicModelConfig& config_a,
-    const core::JointTopicModelConfig& config_b,
-    const recipe::Dataset& dataset, SamplerKind sampler, int burn_in_sweeps,
-    int measure_sweeps);
 
 }  // namespace texrheo::eval
 

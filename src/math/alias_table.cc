@@ -6,14 +6,6 @@ namespace texrheo::math {
 
 texrheo::StatusOr<AliasTable> AliasTable::Build(
     const std::vector<double>& weights) {
-  BuildScratch scratch;
-  AliasTable table;
-  TEXRHEO_RETURN_IF_ERROR(BuildInto(weights, scratch, table));
-  return table;
-}
-
-texrheo::Status AliasTable::BuildInto(const std::vector<double>& weights,
-                                      BuildScratch& scratch, AliasTable& out) {
   size_t n = weights.size();
   if (n == 0) return Status::InvalidArgument("alias table: no weights");
   double total = 0.0;
@@ -25,22 +17,20 @@ texrheo::Status AliasTable::BuildInto(const std::vector<double>& weights,
     return Status::InvalidArgument("alias table: all weights are zero");
   }
 
-  std::vector<double>& prob = out.prob_;
-  std::vector<size_t>& alias = out.alias_;
+  AliasTable table;
+  std::vector<double>& prob = table.prob_;
+  std::vector<size_t>& alias = table.alias_;
   prob.resize(n);
   alias.resize(n);
   // Scaled probabilities; average is exactly 1. The expression keeps the
   // multiply-before-divide order: hoisting n / total into a reciprocal
   // overflows to inf when the weights (and hence total) are denormal.
-  std::vector<double>& scaled = scratch.scaled;
-  scaled.resize(n);
+  std::vector<double> scaled(n);
   for (size_t i = 0; i < n; ++i) {
     scaled[i] = weights[i] * static_cast<double>(n) / total;
   }
-  std::vector<size_t>& small = scratch.small;
-  std::vector<size_t>& large = scratch.large;
-  small.clear();
-  large.clear();
+  std::vector<size_t> small;
+  std::vector<size_t> large;
   small.reserve(n);
   large.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -65,8 +55,8 @@ texrheo::Status AliasTable::BuildInto(const std::vector<double>& weights,
     prob[l] = 1.0;
     alias[l] = l;
   }
-  out.total_weight_ = total;
-  return Status::OK();
+  table.total_weight_ = total;
+  return table;
 }
 
 size_t AliasTable::Sample(Rng& rng) const {

@@ -9,34 +9,13 @@
 namespace texrheo::math {
 
 /// Walker's alias method: O(n) construction, O(1) categorical sampling.
-/// Used for the word2vec negative-sampling noise distribution and available
-/// as a fast path for topic proposals.
+/// Used for the SGNS and word2vec negative-sampling noise distributions.
 class AliasTable {
  public:
-  /// Reusable construction buffers for BuildInto. A caller rebuilding many
-  /// tables in a loop (e.g. one per vocabulary term) keeps one of these
-  /// alive to amortize the three per-build worklist allocations.
-  struct BuildScratch {
-    std::vector<double> scaled;
-    std::vector<size_t> small;
-    std::vector<size_t> large;
-  };
-
-  /// An empty table (size() == 0); the target state for BuildInto. Sampling
-  /// from it is undefined.
-  AliasTable() = default;
-
   /// Builds the table from unnormalized non-negative weights; requires at
   /// least one strictly positive weight.
   static texrheo::StatusOr<AliasTable> Build(
       const std::vector<double>& weights);
-
-  /// Rebuilds `out` in place from `weights`, reusing its storage and the
-  /// caller's scratch. The result is indistinguishable from Build(weights):
-  /// same masses bit-for-bit and the same Sample stream. On error `out` is
-  /// left unspecified. Same preconditions as Build.
-  static texrheo::Status BuildInto(const std::vector<double>& weights,
-                                   BuildScratch& scratch, AliasTable& out);
 
   /// Draws an index distributed proportionally to the build weights.
   size_t Sample(Rng& rng) const;

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/joint_topic_model.h"
 #include "recipe/dataset.h"
 #include "fault_injection.h"
+#include "util/crc32.h"
 #include "util/csv.h"
 
 namespace texrheo::core {
@@ -174,31 +176,6 @@ TEST(CheckpointFrameTest, CollapsedStateRoundTripsWithStats) {
   }
 }
 
-TEST(CheckpointFrameTest, SparseStateRoundTripsWithStaleSnapshot) {
-  recipe::Dataset ds = TinyDataset();
-  JointTopicModelConfig config = TinyConfig(23);
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 2;
-  auto model = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(model.ok());
-  ASSERT_TRUE(model->RunSweeps(5).ok());
-  CheckpointState state = model->CaptureCheckpoint();
-  ASSERT_TRUE(state.fingerprint.sparse_sampler);
-  EXPECT_EQ(state.fingerprint.alias_rebuild_interval, 2);
-  EXPECT_EQ(state.fingerprint.mh_steps, 2);
-  // Rebuilds fire at epochs 0, 2, 4 (first build, then staleness >= R), so
-  // the snapshot carries the epoch of the last one.
-  ASSERT_FALSE(state.stale_n_kv.empty());
-  ASSERT_GE(state.last_alias_rebuild_sweep, 0);
-
-  auto decoded = DecodeCheckpoint(EncodeCheckpoint(state));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->fingerprint, state.fingerprint);
-  EXPECT_EQ(decoded->last_alias_rebuild_sweep, state.last_alias_rebuild_sweep);
-  EXPECT_EQ(decoded->stale_n_kv, state.stale_n_kv);
-  EXPECT_EQ(decoded->stale_n_k, state.stale_n_k);
-}
-
 // ---------------------------------------------------------------------------
 // Golden trajectories: resume must be bit-exact for serial chains.
 
@@ -262,100 +239,6 @@ TEST(CheckpointResumeTest, SerialCollapsedChainResumesBitExactly) {
   ASSERT_TRUE(ll_straight.ok());
   ASSERT_TRUE(ll_resumed.ok());
   EXPECT_EQ(*ll_resumed, *ll_straight);
-}
-
-// Sparse/alias/MH chain: the stale snapshot is part of the state, so resume
-// must be bit-exact even when the capture point falls *between* alias
-// rebuilds — the resumed chain must keep serving the same stale proposal
-// (not a freshly rebuilt one) until the next scheduled rebuild. R = 5 with
-// a capture at sweep 98 puts the capture three sweeps past the last rebuild
-// (epoch 95).
-TEST(CheckpointResumeTest, SerialSparseChainResumesBitExactlyBetweenRebuilds) {
-  recipe::Dataset ds = TinyDataset();
-  JointTopicModelConfig config = TinyConfig(44);
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 5;
-  config.mh_steps = 2;
-
-  auto straight = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(straight.ok());
-  ASSERT_TRUE(straight->RunSweeps(200).ok());
-
-  auto first_half = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(first_half.ok());
-  ASSERT_TRUE(first_half->RunSweeps(98).ok());
-  CheckpointState captured = first_half->CaptureCheckpoint();
-  // The capture really is mid-interval: last rebuild at epoch 95.
-  ASSERT_EQ(captured.last_alias_rebuild_sweep, 95);
-  auto state = DecodeCheckpoint(EncodeCheckpoint(captured));
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
-
-  auto resumed = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(resumed.ok());
-  ASSERT_TRUE(resumed->RestoreFromCheckpoint(*state).ok());
-  EXPECT_EQ(resumed->completed_sweeps(), 98);
-  ASSERT_TRUE(resumed->RunSweeps(102).ok());
-
-  EXPECT_EQ(resumed->z(), straight->z());
-  EXPECT_EQ(resumed->y(), straight->y());
-  ASSERT_EQ(resumed->likelihood_trace().size(),
-            straight->likelihood_trace().size());
-  for (size_t i = 0; i < straight->likelihood_trace().size(); ++i) {
-    EXPECT_EQ(resumed->likelihood_trace()[i], straight->likelihood_trace()[i])
-        << "trace diverged at sweep " << i;
-  }
-}
-
-TEST(CheckpointResumeTest, SparseChainResumesBitExactlyAtRebuildBoundary) {
-  // Capture with staleness exactly at R (last rebuild at epoch 95, capture
-  // at sweep 100): the very next sweep triggers a rebuild on both the
-  // straight and the resumed chain; both must schedule it identically.
-  recipe::Dataset ds = TinyDataset();
-  JointTopicModelConfig config = TinyConfig(46);
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 5;
-
-  auto straight = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(straight.ok());
-  ASSERT_TRUE(straight->RunSweeps(120).ok());
-
-  auto first_half = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(first_half.ok());
-  ASSERT_TRUE(first_half->RunSweeps(100).ok());
-  CheckpointState captured = first_half->CaptureCheckpoint();
-  ASSERT_EQ(captured.last_alias_rebuild_sweep, 95);
-
-  auto resumed = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(resumed.ok());
-  ASSERT_TRUE(resumed->RestoreFromCheckpoint(captured).ok());
-  ASSERT_TRUE(resumed->RunSweeps(20).ok());
-  EXPECT_EQ(resumed->z(), straight->z());
-  EXPECT_EQ(resumed->y(), straight->y());
-}
-
-TEST(CheckpointResumeTest, ParallelSparseChainResumesDeterministically) {
-  recipe::Dataset ds = TinyDataset();
-  JointTopicModelConfig config = TinyConfig(48);
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 4;
-  config.num_threads = 2;
-
-  auto straight = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(straight.ok());
-  ASSERT_TRUE(straight->RunSweeps(60).ok());
-
-  auto first_half = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(first_half.ok());
-  ASSERT_TRUE(first_half->RunSweeps(30).ok());
-  CheckpointState state = first_half->CaptureCheckpoint();
-  EXPECT_FALSE(state.shard_rngs.empty());
-
-  auto resumed = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(resumed.ok());
-  ASSERT_TRUE(resumed->RestoreFromCheckpoint(state).ok());
-  ASSERT_TRUE(resumed->RunSweeps(30).ok());
-  EXPECT_EQ(resumed->z(), straight->z());
-  EXPECT_EQ(resumed->y(), straight->y());
 }
 
 TEST(CheckpointResumeTest, OptimizedAlphaSurvivesResume) {
@@ -478,6 +361,53 @@ TEST(CheckpointSafetyTest, ModifiedCorpusIsRefused) {
   EXPECT_TRUE(clean->RestoreFromCheckpoint(state).ok());
 }
 
+// The frame keeps the slots the removed sparse z-sampler wrote: the
+// fingerprint's sparse byte (payload offset 39, after sampler, K, alpha,
+// gamma, seed, threads and three flag bytes) and the stale alias-section
+// flag (the payload's last byte). A frame with either set was written by
+// that sampler and cannot resume, so decoding refuses it and Resume() finds
+// no valid checkpoint.
+TEST(CheckpointSafetyTest, SparseWrittenFrameIsRefused) {
+  recipe::Dataset ds = TinyDataset();
+  auto source = JointTopicModel::Create(TinyConfig(45), &ds);
+  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE(source->RunSweeps(3).ok());
+  const std::string dense = EncodeCheckpoint(source->CaptureCheckpoint());
+  ASSERT_TRUE(DecodeCheckpoint(dense).ok());
+
+  constexpr size_t kHeaderSize = 20;  // magic(8) + version(4) + size(8).
+  const size_t payload_size = dense.size() - kHeaderSize - sizeof(uint32_t);
+  // Sets one payload byte to 1 and re-seals the frame with a fresh CRC-32.
+  auto set_payload_byte = [&](size_t offset) {
+    std::string frame = dense;
+    EXPECT_EQ(frame[kHeaderSize + offset], '\0');
+    frame[kHeaderSize + offset] = 1;
+    const uint32_t crc =
+        Crc32(std::string_view(frame).substr(kHeaderSize, payload_size));
+    std::memcpy(frame.data() + frame.size() - sizeof(crc), &crc, sizeof(crc));
+    return frame;
+  };
+  const std::string frames[] = {set_payload_byte(39),
+                                set_payload_byte(payload_size - 1)};
+  for (const std::string& frame : frames) {
+    auto decoded = DecodeCheckpoint(frame);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(decoded.status().message().find("sparse"), std::string::npos)
+        << decoded.status().ToString();
+
+    JointTopicModelConfig config = TinyConfig(45);
+    config.checkpoint_dir = FreshDir("sparse_written");
+    ASSERT_TRUE(WriteStringToFile(config.checkpoint_dir + "/" +
+                                      CheckpointFileName(3),
+                                  frame)
+                    .ok());
+    auto model = JointTopicModel::Create(config, &ds);
+    ASSERT_TRUE(model.ok());
+    EXPECT_FALSE(model->Resume().ok());
+    EXPECT_EQ(model->completed_sweeps(), 0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // File-level checkpointing, retention, and recovery.
 
@@ -509,92 +439,6 @@ TEST(CheckpointFileTest, TrainingWritesAndResumesFromDirectory) {
   // chain matches a straight-through run with checkpointing off.
   EXPECT_EQ(resumed->z(), straight->z());
   EXPECT_EQ(resumed->y(), straight->y());
-}
-
-// Crash mid-training with the sparse sampler: checkpoint_interval = 3 and
-// R = 5 guarantee the newest surviving checkpoint (sweep 9) falls between
-// alias rebuilds (epochs 0 and 5), so Resume() must reconstruct the stale
-// bank from the snapshot rather than rebuilding from live counts — and the
-// continuation must be bit-identical to a run that never crashed.
-TEST(CheckpointFileTest, SparseTrainingCrashResumesBitExactly) {
-  recipe::Dataset ds = TinyDataset();
-  JointTopicModelConfig config = TinyConfig(43);
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 5;
-  config.checkpoint_interval = 3;
-  config.checkpoint_dir = FreshDir("sparse_crash");
-
-  JointTopicModelConfig no_ckpt = config;
-  no_ckpt.checkpoint_interval = 0;
-  no_ckpt.checkpoint_dir.clear();
-  auto straight = JointTopicModel::Create(no_ckpt, &ds);
-  ASSERT_TRUE(straight.ok());
-  ASSERT_TRUE(straight->RunSweeps(30).ok());
-
-  // "Crash" after 10 sweeps: the process dies, losing sweep 10; the newest
-  // checkpoint on disk is sweep 9.
-  {
-    auto doomed = JointTopicModel::Create(config, &ds);
-    ASSERT_TRUE(doomed.ok());
-    ASSERT_TRUE(doomed->RunSweeps(10).ok());
-  }
-  std::string winner;
-  auto newest = LoadLatestValidCheckpoint(config.checkpoint_dir, &winner);
-  ASSERT_TRUE(newest.ok());
-  ASSERT_EQ(newest->completed_sweeps, 9);
-  ASSERT_EQ(newest->last_alias_rebuild_sweep, 5);  // Mid-interval.
-
-  auto resumed = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(resumed.ok());
-  ASSERT_TRUE(resumed->Resume().ok());
-  EXPECT_EQ(resumed->completed_sweeps(), 9);
-  ASSERT_TRUE(resumed->RunSweeps(21).ok());
-  EXPECT_EQ(resumed->z(), straight->z());
-  EXPECT_EQ(resumed->y(), straight->y());
-  ASSERT_EQ(resumed->likelihood_trace().size(),
-            straight->likelihood_trace().size());
-  for (size_t i = 0; i < straight->likelihood_trace().size(); ++i) {
-    EXPECT_EQ(resumed->likelihood_trace()[i], straight->likelihood_trace()[i])
-        << "trace diverged at sweep " << i;
-  }
-}
-
-TEST(CheckpointSafetyTest, SparseKnobMismatchIsRefused) {
-  recipe::Dataset ds = TinyDataset();
-  JointTopicModelConfig sparse = TinyConfig(45);
-  sparse.sparse_sampler = true;
-  sparse.alias_rebuild_interval = 5;
-  auto source = JointTopicModel::Create(sparse, &ds);
-  ASSERT_TRUE(source.ok());
-  ASSERT_TRUE(source->RunSweeps(3).ok());
-  CheckpointState state = source->CaptureCheckpoint();
-
-  // A dense model must refuse a sparse checkpoint: the staleness schedule
-  // is part of the trajectory.
-  auto dense = JointTopicModel::Create(TinyConfig(45), &ds);
-  ASSERT_TRUE(dense.ok());
-  EXPECT_EQ(dense->RestoreFromCheckpoint(state).code(),
-            StatusCode::kFailedPrecondition);
-
-  // So must a sparse model with a different rebuild interval or MH budget.
-  JointTopicModelConfig other_r = sparse;
-  other_r.alias_rebuild_interval = 9;
-  auto model_r = JointTopicModel::Create(other_r, &ds);
-  ASSERT_TRUE(model_r.ok());
-  EXPECT_EQ(model_r->RestoreFromCheckpoint(state).code(),
-            StatusCode::kFailedPrecondition);
-
-  JointTopicModelConfig other_mh = sparse;
-  other_mh.mh_steps = 4;
-  auto model_mh = JointTopicModel::Create(other_mh, &ds);
-  ASSERT_TRUE(model_mh.ok());
-  EXPECT_EQ(model_mh->RestoreFromCheckpoint(state).code(),
-            StatusCode::kFailedPrecondition);
-
-  // And a matching sparse model accepts it.
-  auto clean = JointTopicModel::Create(sparse, &ds);
-  ASSERT_TRUE(clean.ok());
-  EXPECT_TRUE(clean->RestoreFromCheckpoint(state).ok());
 }
 
 TEST(CheckpointFileTest, RetentionKeepsOnlyNewestFiles) {
@@ -867,27 +711,23 @@ TEST(NumericalHealthTest, HealthyModelsPass) {
 }
 
 TEST(NumericalHealthTest, PoisonedDataStopsTrainingBeforeCheckpointing) {
-  // Every sweep path: both z draws of the joint sampler and the collapsed
-  // sampler, each as the one-shard chain and on the four-shard engine.
+  // Every sweep path: the joint and the collapsed sampler, each as the
+  // one-shard chain and on the four-shard engine.
   struct Path {
     const char* name;
     bool collapsed;
-    bool sparse;
     int threads;
   };
   const Path kPaths[] = {
-      {"joint dense 1 thread", false, false, 1},
-      {"joint dense 4 threads", false, false, 4},
-      {"joint sparse 1 thread", false, true, 1},
-      {"joint sparse 4 threads", false, true, 4},
-      {"collapsed 1 thread", true, false, 1},
-      {"collapsed 4 threads", true, false, 4},
+      {"joint 1 thread", false, 1},
+      {"joint 4 threads", false, 4},
+      {"collapsed 1 thread", true, 1},
+      {"collapsed 4 threads", true, 4},
   };
   for (const Path& path : kPaths) {
     SCOPED_TRACE(path.name);
     recipe::Dataset ds = TinyDataset();
     JointTopicModelConfig config = TinyConfig(63);
-    config.sparse_sampler = path.sparse;
     config.num_threads = path.threads;
     config.checkpoint_interval = 1;
     config.checkpoint_dir = FreshDir("poisoned");

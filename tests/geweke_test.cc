@@ -51,32 +51,6 @@ TEST(GewekeTest, CollapsedSamplerPassesJointDistributionTest) {
   ExpectGewekePass(*result);
 }
 
-// The MH-corrected sparse/alias sampler must target the exact same joint as
-// the dense sampler even when its proposal tables are badly stale: R = 7
-// with thin = 6 means almost every recorded sample is drawn against a
-// proposal built from counts up to 7 harness iterations old (and the
-// harness's data-resample step mutates the term ids under the tables
-// without refreshing them — only the scheduled rebuild does). If the MH
-// acceptance ratio were wrong, the stale proposal would bias the stationary
-// distribution and the z-scores would blow past the threshold.
-TEST(GewekeTest, SparseSamplerWithStaleAliasTablesPassesJointDistributionTest) {
-  GewekeConfig config;
-  config.sampler = SamplerKind::kInstantiated;
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 7;
-  config.mh_steps = 2;
-  auto result = RunGewekeTest(config);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectGewekePass(*result);
-}
-
-TEST(GewekeTest, SparseSamplerRejectsCollapsedKind) {
-  GewekeConfig config;
-  config.sampler = SamplerKind::kCollapsed;
-  config.sparse_sampler = true;
-  EXPECT_FALSE(RunGewekeTest(config).ok());
-}
-
 TEST(GewekeTest, ReportsAllStatistics) {
   GewekeConfig config;
   config.forward_samples = 200;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "eval/metrics.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace texrheo::core {
@@ -91,19 +90,6 @@ TEST(JointTopicModelTest, RecoversPlantedClusters) {
   EXPECT_GT(scores->nmi, 0.8);
 }
 
-TEST(JointTopicModelTest, SparseSamplerCreateValidatesKnobs) {
-  recipe::Dataset ds = PlantedDataset(5, 1);
-  JointTopicModelConfig config = SmallConfig();
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 0;
-  EXPECT_FALSE(JointTopicModel::Create(config, &ds).ok());
-  config.alias_rebuild_interval = 8;
-  config.mh_steps = 0;
-  EXPECT_FALSE(JointTopicModel::Create(config, &ds).ok());
-  config.mh_steps = 2;
-  EXPECT_TRUE(JointTopicModel::Create(config, &ds).ok());
-}
-
 TEST(JointTopicModelTest, LikelihoodIntervalThinsTraceWithoutPerturbingChain) {
   recipe::Dataset ds = PlantedDataset(5, 1);
   JointTopicModelConfig bad = SmallConfig();
@@ -130,77 +116,6 @@ TEST(JointTopicModelTest, LikelihoodIntervalThinsTraceWithoutPerturbingChain) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(thin->likelihood_trace()[i], full->likelihood_trace()[3 * i + 2]);
   }
-}
-
-TEST(JointTopicModelTest, SparseSamplerRecoversPlantedClusters) {
-  recipe::Dataset ds = PlantedDataset(60, 2);
-  JointTopicModelConfig config = SmallConfig(2);
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 4;
-  auto model = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(model.ok());
-  ASSERT_TRUE(model->Train().ok());
-  EXPECT_TRUE(std::isfinite(model->LogJointLikelihood()));
-  TopicEstimates est = model->Estimate();
-  std::vector<int> truth;
-  for (size_t d = 0; d < ds.documents.size(); ++d) {
-    truth.push_back(d < 60 ? 0 : 1);
-  }
-  auto scores = eval::ScoreClustering(est.doc_topic, truth);
-  ASSERT_TRUE(scores.ok());
-  EXPECT_GT(scores->purity, 0.95);
-}
-
-TEST(JointTopicModelTest, SparseSamplerDeterministicGivenSeed) {
-  for (int threads : {1, 2}) {
-    recipe::Dataset ds_a = PlantedDataset(20, 5);
-    recipe::Dataset ds_b = PlantedDataset(20, 5);
-    JointTopicModelConfig config = SmallConfig(3);
-    config.sparse_sampler = true;
-    config.alias_rebuild_interval = 3;
-    config.num_threads = threads;
-    auto a = JointTopicModel::Create(config, &ds_a);
-    auto b = JointTopicModel::Create(config, &ds_b);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(a->RunSweeps(25).ok());
-    ASSERT_TRUE(b->RunSweeps(25).ok());
-    EXPECT_EQ(a->z(), b->z()) << "threads=" << threads;
-    EXPECT_EQ(a->y(), b->y()) << "threads=" << threads;
-  }
-}
-
-TEST(JointTopicModelTest, SparseSamplerExportsStalenessMetrics) {
-  recipe::Dataset ds = PlantedDataset(20, 7);
-  JointTopicModelConfig config = SmallConfig(2);
-  config.sparse_sampler = true;
-  config.alias_rebuild_interval = 4;
-  auto model = JointTopicModel::Create(config, &ds);
-  ASSERT_TRUE(model.ok());
-  obs::MetricsRegistry registry;
-  model->SetObservability(&registry, nullptr);
-  ASSERT_TRUE(model->RunSweeps(12).ok());
-
-  obs::MetricsSnapshot snap = registry.TakeSnapshot();
-  // Rebuild epochs 0, 4, 8 fall inside the 12 observed sweeps.
-  EXPECT_EQ(snap.CounterValue("train.alias_rebuilds"), 3u);
-  // Documents concentrate on few topics, so the sparse bucket wins often.
-  EXPECT_GT(snap.CounterValue("train.sparse_bucket_hits"), 0u);
-  const double accept = snap.GaugeValue("train.mh_accept_rate");
-  EXPECT_GT(accept, 0.0);
-  EXPECT_LE(accept, 1.0);
-
-  // The dense sampler must not touch the sparse-path metrics.
-  recipe::Dataset dense_ds = PlantedDataset(20, 7);
-  JointTopicModelConfig dense = SmallConfig(2);
-  auto dense_model = JointTopicModel::Create(dense, &dense_ds);
-  ASSERT_TRUE(dense_model.ok());
-  obs::MetricsRegistry dense_registry;
-  dense_model->SetObservability(&dense_registry, nullptr);
-  ASSERT_TRUE(dense_model->RunSweeps(5).ok());
-  obs::MetricsSnapshot dense_snap = dense_registry.TakeSnapshot();
-  EXPECT_EQ(dense_snap.CounterValue("train.alias_rebuilds"), 0u);
-  EXPECT_EQ(dense_snap.CounterValue("train.sparse_bucket_hits"), 0u);
 }
 
 TEST(JointTopicModelTest, PhiSeparatesPlantedVocabularies) {
