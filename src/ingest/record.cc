@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "recipe/features.h"
 #include "recipe/ingredient.h"
+#include "serve/protocol.h"
 
 namespace texrheo::ingest {
 
@@ -33,12 +33,11 @@ StatusOr<math::Vector> ParseRatios(std::string_view field, size_t dim,
       return Status::InvalidArgument(std::string(what) +
                                      ": too many components");
     }
-    std::string part(field.substr(start, comma - start));
-    char* end = nullptr;
-    double value = std::strtod(part.c_str(), &end);
-    if (part.empty() || end != part.c_str() + part.size()) {
+    const std::string_view part = field.substr(start, comma - start);
+    double value = 0.0;
+    if (!serve::ParseWholeDecimal(part, &value)) {
       return Status::InvalidArgument(std::string(what) + ": bad ratio '" +
-                                     part + "'");
+                                     std::string(part) + "'");
     }
     if (!std::isfinite(value) || value < 0.0 || value > 1.0) {
       return Status::InvalidArgument(std::string(what) +

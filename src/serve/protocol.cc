@@ -1,27 +1,10 @@
 #include "serve/protocol.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
-#include <string_view>
 
 namespace texrheo::serve {
-namespace {
-
-/// Parses all of `token` as a decimal T. Rejects '+', '-' for an unsigned
-/// T, any other character, and values T cannot hold. A floating T reads
-/// fixed or scientific notation only (no hex), and a value that overflows
-/// or underflows is rejected; "inf" and "nan" parse, for the caller to
-/// refuse.
-template <typename T>
-bool ParseWholeDecimal(std::string_view token, T* value) {
-  const char* last = token.data() + token.size();
-  auto [end, ec] = std::from_chars(token.data(), last, *value);
-  return ec == std::errc() && end == last;
-}
-
-}  // namespace
 
 std::vector<std::string> SplitProtocolTokens(const std::string& line) {
   std::vector<std::string> tokens;

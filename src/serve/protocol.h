@@ -1,7 +1,10 @@
 #ifndef TEXRHEO_SERVE_PROTOCOL_H_
 #define TEXRHEO_SERVE_PROTOCOL_H_
 
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -16,6 +19,20 @@ namespace texrheo::serve {
 /// QueryEngine) and the router front tier (which parses just enough of a
 /// command to compute its routing key and forwards the line verbatim) —
 /// one grammar, two consumers, zero drift.
+
+/// Parses all of `token` as a decimal T. Rejects '+', '-' for an unsigned
+/// T, any other character (leading whitespace included), and values T
+/// cannot hold. A floating T reads fixed or scientific notation only (no
+/// hex), and a value that overflows or underflows to zero is rejected,
+/// while a subnormal one parses exactly; "inf" and "nan" parse, for the
+/// caller to refuse. The wire's ratios and counts and the ingest record's
+/// ratios all parse through this.
+template <typename T>
+bool ParseWholeDecimal(std::string_view token, T* value) {
+  const char* last = token.data() + token.size();
+  auto [end, ec] = std::from_chars(token.data(), last, *value);
+  return ec == std::errc() && end == last;
+}
 
 /// Whitespace-splits one protocol line into tokens.
 std::vector<std::string> SplitProtocolTokens(const std::string& line);
