@@ -7,6 +7,7 @@
 #include <cstring>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -222,14 +223,16 @@ TEST(GoldenRegressionTest, SerialChainTrajectoryIsPinned) {
 // The golden above pins only coarse outcomes (hard topics, y, top terms) of
 // an 8-document corpus, which a changed trajectory can still pass. These
 // pins fix the *complete* sampler state after 30 sweeps: the CRC-32 of the
-// encoded checkpoint (assignments, every count matrix, the RNG streams, the
-// instantiated Gaussians or Student-t statistics, the likelihood trace)
-// for both samplers at one and four threads. The fold-in pins fix the
-// theta bytes the serving path returns for fixed queries and streams. The
-// corpus is generated here from a fixed seed rather than by the corpus
-// generator, so generator changes cannot move the values. A refactor must
-// keep every value; a deliberate change to a sampler's trajectory must
-// regenerate them and say so in the changelog.
+// encoded checkpoint without its trailing checksum (assignments, every
+// count matrix, the RNG streams, the instantiated Gaussians or Student-t
+// statistics, the likelihood trace) for both samplers at one and four
+// threads, and for the joint sampler with its optional branches switched
+// on. The fold-in pins fix the theta bytes the serving path returns for
+// fixed queries and streams. The corpus is generated here from a fixed
+// seed rather than by the corpus generator, so generator changes cannot
+// move the values. A refactor must keep every value; a deliberate change
+// to a sampler's trajectory must regenerate them and say so in the
+// changelog.
 
 constexpr size_t kPinVocab = 12;
 
@@ -288,20 +291,40 @@ struct TrajectoryPin {
   const char* name;
   bool collapsed;
   int threads;
-  uint32_t crc;
+  /// Also pins the optional branches: alpha re-estimated every 5 sweeps
+  /// after a 5-sweep burn-in (so it moves within the 30 pinned sweeps),
+  /// the emulsion Gaussian in the y conditional and the likelihood, and a
+  /// trace thinned to every third sweep.
+  bool branches;
+  /// CRC-32 of the whole checkpoint frame. The frame ends with the CRC-32
+  /// of its payload, and a CRC run over data followed by that data's own
+  /// CRC cancels the data out, so this value fixes only the header and the
+  /// payload's length.
+  uint32_t frame_crc;
+  /// CRC-32 of the frame without its trailing checksum: the state itself.
+  uint32_t state_crc;
 };
 
 TEST(TrajectoryPinTest, CheckpointBytesAfterThirtySweeps) {
   const TrajectoryPin kPins[] = {
-      {"joint dense 1 thread", false, 1, 0xc6c3247du},
-      {"joint dense 4 threads", false, 4, 0x535bfc96u},
-      {"collapsed 1 thread", true, 1, 0xdd93a478u},
-      {"collapsed 4 threads", true, 4, 0x772e491du},
+      {"joint dense 1 thread", false, 1, false, 0xc6c3247du, 0x5204dfeeu},
+      {"joint dense 4 threads", false, 4, false, 0x535bfc96u, 0xf735d13fu},
+      {"collapsed 1 thread", true, 1, false, 0xdd93a478u, 0x11a80aadu},
+      {"collapsed 4 threads", true, 4, false, 0x772e491du, 0xc6266234u},
+      {"joint branches 1 thread", false, 1, true, 0x1815f39eu, 0x817681d0u},
+      {"joint branches 4 threads", false, 4, true, 0x2153b488u, 0xc40f24e4u},
   };
   for (const TrajectoryPin& pin : kPins) {
     SCOPED_TRACE(pin.name);
     recipe::Dataset ds = PinnedCorpus();
-    const JointTopicModelConfig config = PinnedConfig(pin.threads);
+    JointTopicModelConfig config = PinnedConfig(pin.threads);
+    if (pin.branches) {
+      config.optimize_alpha = true;
+      config.burn_in_sweeps = 5;
+      config.alpha_update_interval = 5;
+      config.use_emulsion_likelihood = true;
+      config.likelihood_interval = 3;
+    }
     std::string bytes;
     if (pin.collapsed) {
       auto model = CollapsedJointTopicModel::Create(config, &ds);
@@ -312,10 +335,19 @@ TEST(TrajectoryPinTest, CheckpointBytesAfterThirtySweeps) {
       auto model = JointTopicModel::Create(config, &ds);
       ASSERT_TRUE(model.ok()) << model.status().ToString();
       ASSERT_TRUE(model->RunSweeps(30).ok());
+      if (pin.branches) {
+        EXPECT_NE(model->alpha(), config.alpha);
+      }
       bytes = EncodeCheckpoint(model->CaptureCheckpoint());
     }
-    const uint32_t crc = Crc32(bytes);
-    EXPECT_EQ(crc, pin.crc) << "actual 0x" << std::hex << crc;
+    const uint32_t frame_crc = Crc32(bytes);
+    EXPECT_EQ(frame_crc, pin.frame_crc) << "actual 0x" << std::hex
+                                        << frame_crc;
+    ASSERT_GT(bytes.size(), sizeof(uint32_t));
+    const uint32_t state_crc = Crc32(
+        std::string_view(bytes).substr(0, bytes.size() - sizeof(uint32_t)));
+    EXPECT_EQ(state_crc, pin.state_crc) << "actual 0x" << std::hex
+                                        << state_crc;
   }
 }
 
