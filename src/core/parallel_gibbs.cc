@@ -138,7 +138,7 @@ void ShardEngine::Ensure() {
   // checkpoints have always looked.
   if (num_threads_ != 1) {
     for (size_t s = 0; s < shards_.size(); ++s) {
-      streams_.push_back(Rng::ForStream(seed_, s + 1));
+      streams_.push_back({Rng::ForStream(seed_, s + 1)});
     }
   }
   deltas_.assign(shards_.size(), TopicCountDelta(num_topics_, vocab_size_));
@@ -182,7 +182,9 @@ void ShardEngine::MergeDeltas(std::vector<int>& n_vk, std::vector<int>& n_k) {
 void ShardEngine::CaptureStreams(CheckpointState& state) const {
   state.shard_rngs.clear();
   state.shard_rngs.reserve(streams_.size());
-  for (const Rng& r : streams_) state.shard_rngs.push_back(r.SaveState());
+  for (const ShardStream& stream : streams_) {
+    state.shard_rngs.push_back(stream.rng.SaveState());
+  }
 }
 
 texrheo::Status ShardEngine::ValidateStreams(
@@ -202,7 +204,7 @@ void ShardEngine::RestoreStreams(const CheckpointState& state) {
   if (state.shard_rngs.empty()) return;
   Ensure();
   for (size_t s = 0; s < streams_.size(); ++s) {
-    streams_[s].RestoreState(state.shard_rngs[s]);
+    streams_[s].rng.RestoreState(state.shard_rngs[s]);
   }
 }
 

@@ -145,7 +145,7 @@ class ShardEngine {
     std::vector<texrheo::Status> statuses(shards_.size(), Status::OK());
     pool_->ParallelFor(static_cast<int>(shards_.size()), [&](int s) {
       const size_t ss = static_cast<size_t>(s);
-      statuses[ss] = fn(ss, streams_[ss]);
+      statuses[ss] = fn(ss, streams_[ss].rng);
     });
     for (texrheo::Status& status : statuses) {
       if (!status.ok()) return status;
@@ -178,7 +178,13 @@ class ShardEngine {
   const std::vector<recipe::Document>* docs_;
   std::unique_ptr<ThreadPool> pool_;  ///< Null for a one-shard plan.
   std::vector<std::pair<size_t, size_t>> shards_;
-  std::vector<Rng> streams_;  ///< One SplitMix64-split stream per shard.
+  /// One SplitMix64-split stream per shard, each alone on its cache line:
+  /// every draw writes the state, so streams packed side by side would
+  /// bounce one line between the shards' cores.
+  struct alignas(64) ShardStream {
+    Rng rng;
+  };
+  std::vector<ShardStream> streams_;
   std::vector<TopicCountDelta> deltas_;
 };
 
