@@ -13,14 +13,14 @@ namespace texrheo::core {
 void CollapsedJointTopicModel::TopicStats::Add(const math::Vector& x) {
   ++n;
   sum += x;
-  sum_outer += math::Matrix::Outer(x, x);
+  sum_outer.AddOuter(x);
 }
 
 void CollapsedJointTopicModel::TopicStats::Remove(const math::Vector& x) {
   assert(n > 0);
   --n;
   sum -= x;
-  sum_outer -= math::Matrix::Outer(x, x);
+  sum_outer.SubtractOuter(x);
 }
 
 math::Vector CollapsedJointTopicModel::TopicStats::Mean() const {

@@ -70,15 +70,17 @@ void TopicGaussiansSoA::BatchLogPdf(const math::Vector& x, Scratch& scratch,
 
 double TopicGaussiansSoA::LogPdfScalar(size_t k, const math::Vector& x) const {
   assert(k < k_ && x.size() == dim_);
-  std::vector<double> d(dim_);
-  for (size_t j = 0; j < dim_; ++j) d[j] = x[j] - mean_[j * k_ + k];
+  // Each centered coordinate is recomputed where it is read (the same
+  // subtraction, so the same bits), which keeps the path free of scratch.
+  const double* xs = x.data().data();
+  const auto centered = [&](size_t j) { return xs[j] - mean_[j * k_ + k]; };
   double quad = 0.0;
   for (size_t i = 0; i < dim_; ++i) {
     double row = 0.0;
     for (size_t j = 0; j < dim_; ++j) {
-      row += prec_[(i * dim_ + j) * k_ + k] * d[j];
+      row += prec_[(i * dim_ + j) * k_ + k] * centered(j);
     }
-    quad += d[i] * row;
+    quad += centered(i) * row;
   }
   return 0.5 * (log_norm_[k] - quad);
 }

@@ -52,7 +52,8 @@ class TopicGaussiansSoA {
   void BatchLogPdf(const math::Vector& x, Scratch& scratch,
                    double* out) const;
 
-  /// Scalar reference path: identical arithmetic for a single topic.
+  /// Scalar path: identical arithmetic for a single topic, and no heap
+  /// scratch, so the likelihood pass can call it once per document.
   double LogPdfScalar(size_t k, const math::Vector& x) const;
 
  private:

@@ -88,6 +88,28 @@ Matrix& Matrix::operator-=(const Matrix& other) {
   return *this;
 }
 
+Matrix& Matrix::AddOuter(const Vector& x) {
+  assert(rows_ == x.size() && cols_ == x.size());
+  const double* xs = x.data().data();
+  double* m = data_.data();
+  for (size_t r = 0; r < rows_; ++r) {
+    const double xr = xs[r];
+    for (size_t c = 0; c < cols_; ++c) m[r * cols_ + c] += xr * xs[c];
+  }
+  return *this;
+}
+
+Matrix& Matrix::SubtractOuter(const Vector& x) {
+  assert(rows_ == x.size() && cols_ == x.size());
+  const double* xs = x.data().data();
+  double* m = data_.data();
+  for (size_t r = 0; r < rows_; ++r) {
+    const double xr = xs[r];
+    for (size_t c = 0; c < cols_; ++c) m[r * cols_ + c] -= xr * xs[c];
+  }
+  return *this;
+}
+
 Matrix& Matrix::operator*=(double s) {
   for (double& x : data_) x *= s;
   return *this;

@@ -87,6 +87,11 @@ class Matrix {
   Matrix& operator-=(const Matrix& other);
   Matrix& operator*=(double s);
 
+  /// `*this += Outer(x, x)` and `*this -= Outer(x, x)` in place: the same
+  /// products and sums, so the same bits, without the temporary matrix.
+  Matrix& AddOuter(const Vector& x);
+  Matrix& SubtractOuter(const Vector& x);
+
   /// Matrix-vector product.
   Vector Multiply(const Vector& v) const;
   /// Matrix-matrix product.

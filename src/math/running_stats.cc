@@ -31,7 +31,7 @@ RunningMoments::RunningMoments(size_t dim)
 void RunningMoments::Add(const Vector& x) {
   ++n_;
   sum_ += x;
-  sum_outer_ += Matrix::Outer(x, x);
+  sum_outer_.AddOuter(x);
 }
 
 Vector RunningMoments::Mean() const {
