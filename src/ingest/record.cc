@@ -1,7 +1,6 @@
 #include "ingest/record.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "recipe/features.h"
@@ -35,11 +34,11 @@ StatusOr<math::Vector> ParseRatios(std::string_view field, size_t dim,
     }
     const std::string_view part = field.substr(start, comma - start);
     double value = 0.0;
-    if (!serve::ParseWholeDecimal(part, &value)) {
+    if (!serve::ParseRatio(part, &value)) {
       return Status::InvalidArgument(std::string(what) + ": bad ratio '" +
                                      std::string(part) + "'");
     }
-    if (!std::isfinite(value) || value < 0.0 || value > 1.0) {
+    if (value > 1.0) {
       return Status::InvalidArgument(std::string(what) +
                                      ": ratio out of [0, 1]");
     }

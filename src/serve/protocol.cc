@@ -26,6 +26,11 @@ std::vector<std::string> SplitCommaList(const std::string& s) {
   return parts;
 }
 
+bool ParseRatio(std::string_view token, double* value) {
+  return ParseWholeDecimal(token, value) && std::isfinite(*value) &&
+         !std::signbit(*value);
+}
+
 StatusOr<std::vector<std::pair<std::string, double>>> ParseIngredientSpec(
     const std::string& spec) {
   std::vector<std::pair<std::string, double>> out;
@@ -37,8 +42,7 @@ StatusOr<std::vector<std::pair<std::string, double>>> ParseIngredientSpec(
                                      "'");
     }
     double value = 0.0;
-    if (!ParseWholeDecimal(std::string_view(part).substr(eq + 1), &value) ||
-        !std::isfinite(value)) {
+    if (!ParseRatio(std::string_view(part).substr(eq + 1), &value)) {
       return Status::InvalidArgument("bad ratio in '" + part + "'");
     }
     out.emplace_back(part.substr(0, eq), value);

@@ -34,6 +34,13 @@ bool ParseWholeDecimal(std::string_view token, T* value) {
   return ec == std::errc() && end == last;
 }
 
+/// Parses all of `token` as a ratio's number: a finite ParseWholeDecimal
+/// double whose sign bit is clear. "-0" is refused with every other
+/// signed value: it reads as -0.0, which `< 0.0` lets through and which
+/// prints back as "-0". The wire's ratios and the ingest record's ratios
+/// both parse through this; the callers bound the value above.
+bool ParseRatio(std::string_view token, double* value);
+
 /// Whitespace-splits one protocol line into tokens.
 std::vector<std::string> SplitProtocolTokens(const std::string& line);
 

@@ -75,7 +75,7 @@ StatusOr<TextureQuery> QueryFromIngredients(
   query.gel_concentration = math::Vector(recipe::kNumGelTypes);
   query.emulsion_concentration = math::Vector(recipe::kNumEmulsionTypes);
   for (const auto& [name, concentration] : ingredients) {
-    if (concentration < 0.0 || concentration > 1.0 ||
+    if (std::signbit(concentration) || concentration > 1.0 ||
         !std::isfinite(concentration)) {
       return Status::InvalidArgument("concentration of '" + name +
                                      "' must be a ratio in [0, 1]");

@@ -253,6 +253,9 @@ TEST(RecordTest, DecodeRejectsMalformedRecords) {
   EXPECT_FALSE(DecodeRecord("g=+0.5,0,0 e=0,0,0,0,0,0 t=").ok());
   EXPECT_FALSE(DecodeRecord("g=1e-400,0,0 e=0,0,0,0,0,0 t=").ok());
   EXPECT_FALSE(DecodeRecord("g=\t0.5,0,0 e=0,0,0,0,0,0 t=").ok());
+  // A signed zero would re-encode as "-0" and key apart from "0".
+  EXPECT_FALSE(DecodeRecord("g=-0,0,0 e=0,0,0,0,0,0 t=").ok());
+  EXPECT_FALSE(DecodeRecord("g=-0.0,0,0 e=0,0,0,0,0,0 t=").ok());
   EXPECT_TRUE(DecodeRecord("g=0.01,0,0 e=0,0,0,0,0,0 t=").ok());  // No terms.
 }
 

@@ -116,7 +116,7 @@ TEST_F(ServerTest, MalformedCommandsGetErrNotDisconnect) {
   }
   // Numeric fields parse strictly: n= is a whole unsigned 32-bit decimal,
   // a topic index fits in an int, and a ratio is a finite decimal double
-  // with no '+', hex or underflow. These fail in the parser, before the
+  // with no sign, hex or underflow. These fail in the parser, before the
   // engine could answer FailedPrecondition (this fixture has no corpus).
   for (const char* bad :
        {"SIMILAR gelatin=0.01 n=-1", "SIMILAR gelatin=0.01 n=abc",
@@ -125,7 +125,7 @@ TEST_F(ServerTest, MalformedCommandsGetErrNotDisconnect) {
         "TOPIC 4294967297", "TOPIC 1x", "NEAREST -4294967295",
         "PREDICT gelatin=0x1p-4", "PREDICT gelatin=1e-400",
         "PREDICT gelatin=+0.02", "PREDICT gelatin=inf",
-        "PREDICT gelatin=nan"}) {
+        "PREDICT gelatin=nan", "PREDICT gelatin=-0"}) {
     auto reply = (*client)->RoundTrip(bad);
     ASSERT_TRUE(reply.ok()) << bad;
     EXPECT_EQ(reply->rfind("ERR InvalidArgument", 0), 0u)
