@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -120,6 +121,22 @@ class RouterChaosTest : public ::testing::Test {
         return "PREDICT gelatin=0.0" + std::to_string(1 + i % 9) +
                " terms=katai";
     }
+  }
+
+  /// A PREDICT line whose first routing candidate is `replica`, or "" if
+  /// none is. MixedQuery has only 7 distinct routing keys, and the ring is
+  /// labelled by ephemeral ports, so all 7 can route elsewhere; this
+  /// searches 256 distinct keys (gelatin=0.0001 through 0.0256, one cache
+  /// quantum apart).
+  static std::string QueryAimedAt(const ReplicaRouter& router, int replica) {
+    for (int i = 1; i <= 256; ++i) {
+      char ratio[16];
+      std::snprintf(ratio, sizeof(ratio), "0.0%03d", i);
+      const std::string query =
+          std::string("PREDICT gelatin=") + ratio + " terms=katai";
+      if (router.CandidatesFor(query).front() == replica) return query;
+    }
+    return "";
   }
 
   std::shared_ptr<const ServingSnapshot> snapshot_;
@@ -241,11 +258,7 @@ TEST_F(RouterChaosTest, ReplicaKillAndRestartUnderLoadLosesNoQueries) {
   router->ProbeAllOnce();
   EXPECT_EQ(router->GetReplicaViews()[victim].state,
             CircuitBreaker::State::kClosed);
-  std::string aimed;
-  for (int i = 0; i < 64 && aimed.empty(); ++i) {
-    const std::string query = MixedQuery(i);
-    if (router->CandidatesFor(query).front() == victim) aimed = query;
-  }
+  const std::string aimed = QueryAimedAt(*router, victim);
   ASSERT_FALSE(aimed.empty());
   EXPECT_EQ(Handle(*router, aimed).rfind("OK", 0), 0u);
 }
@@ -321,12 +334,7 @@ TEST_F(RouterChaosTest, BreakerTransitionsAreDeterministicOnInjectedClock) {
   EXPECT_EQ(view.breaker.reclosed, 1u);
   EXPECT_EQ(snap.GaugeValue("router.replica.0.healthy"), 1.0);
   // And the readmitted replica carries traffic again.
-  std::string aimed;
-  for (int i = 0; i < 64 && aimed.empty(); ++i) {
-    if (router->CandidatesFor(MixedQuery(i)).front() == victim) {
-      aimed = MixedQuery(i);
-    }
-  }
+  const std::string aimed = QueryAimedAt(*router, victim);
   ASSERT_FALSE(aimed.empty());
   EXPECT_EQ(Handle(*router, aimed).rfind("OK", 0), 0u);
 }
