@@ -4,9 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <filesystem>
+#include <optional>
 
 #include "math/running_stats.h"
-#include "math/special.h"
 
 namespace texrheo::core {
 
@@ -183,9 +183,8 @@ texrheo::Status CollapsedJointTopicModel::SampleYShard(
   const size_t k_count = static_cast<size_t>(config_.num_topics);
   std::vector<double> log_w(k_count);
   std::vector<double> weights(k_count);
-  // Fills log_w for document d under the statistics with d removed and
-  // returns its log normalizer.
-  auto log_weights = [&](size_t d) -> texrheo::StatusOr<double> {
+  // Draws document d's topic under the statistics with d removed.
+  auto draw = [&](size_t d) -> texrheo::StatusOr<size_t> {
     const auto& doc = documents[d];
     for (size_t k = 0; k < k_count; ++k) {
       double lw = std::log(static_cast<double>(n_dk_[d][k]) + config_.alpha);
@@ -199,29 +198,26 @@ texrheo::Status CollapsedJointTopicModel::SampleYShard(
       }
       log_w[k] = lw;
     }
-    const double norm = math::LogSumExp(log_w.data(), log_w.size());
-    if (!std::isfinite(norm)) {
+    const std::optional<size_t> k = rng.NextCategoricalFromLogs(log_w, weights);
+    if (!k) {
       return Status::Internal(
           "numerical health: non-finite topic weights for document " +
           std::to_string(d));
     }
-    return norm;
+    return *k;
   };
   for (size_t d = range.first; d < range.second; ++d) {
     const auto& doc = documents[d];
     const size_t old_k = static_cast<size_t>(y_[d]);
     gel[old_k].Remove(doc.gel_feature);
     emu[old_k].Remove(doc.emulsion_feature);
-    const texrheo::StatusOr<double> norm = log_weights(d);
-    if (!norm.ok()) {
+    const texrheo::StatusOr<size_t> drawn = draw(d);
+    if (!drawn.ok()) {
       gel[old_k].Add(doc.gel_feature);  // State stays consistent.
       emu[old_k].Add(doc.emulsion_feature);
-      return norm.status();
+      return drawn.status();
     }
-    for (size_t k = 0; k < k_count; ++k) {
-      weights[k] = std::exp(log_w[k] - *norm);
-    }
-    const size_t new_k = rng.NextCategorical(weights);
+    const size_t new_k = *drawn;
     y_[d] = static_cast<int>(new_k);
     gel[new_k].Add(doc.gel_feature);
     emu[new_k].Add(doc.emulsion_feature);

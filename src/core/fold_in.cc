@@ -3,8 +3,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-
-#include "math/special.h"
+#include <optional>
 
 namespace texrheo::core {
 
@@ -49,11 +48,16 @@ std::vector<double> FoldInDocument(const std::vector<double>& term_weights,
       log_w[k] =
           std::log(static_cast<double>(local_n_k[k]) + alpha) + log_density[k];
     }
-    const double norm = math::LogSumExp(log_w.data(), log_w.size());
-    for (size_t k = 0; k < k_count; ++k) {
-      weights[k] = std::exp(log_w[k] - norm);
+    std::optional<size_t> y = rng.NextCategoricalFromLogs(log_w, weights);
+    if (!y) {
+      // No topic's weight is finite (a non-finite feature, or one so far
+      // out that every log-density is -inf): the counts alone decide.
+      for (size_t k = 0; k < k_count; ++k) {
+        weights[k] = static_cast<double>(local_n_k[k]) + alpha;
+      }
+      y = rng.NextCategorical(weights);
     }
-    local_y = static_cast<int>(rng.NextCategorical(weights));
+    local_y = static_cast<int>(*y);
   }
 
   const double n_d = static_cast<double>(tokens);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <optional>
 
 #include "core/fold_in.h"
 #include "core/gmm_baseline.h"
@@ -40,13 +41,22 @@ math::NormalWishartParams AutoPrior(
   return prior;
 }
 
+/// Normal-Wishart posterior given a topic's member moments and the prior's
+/// scale inverse.
+texrheo::StatusOr<math::NormalWishartParams> TopicPosterior(
+    const math::NormalWishartParams& prior, const math::Matrix& scale_inverse,
+    const math::RunningMoments& moments) {
+  return prior.PosteriorWeighted(static_cast<double>(moments.count()),
+                                 moments.Mean(), moments.Scatter(),
+                                 scale_inverse);
+}
+
 /// Normal-Wishart posterior-mean Gaussian given a topic's member moments.
 texrheo::StatusOr<math::Gaussian> PosteriorMean(
-    const math::NormalWishartParams& prior,
+    const math::NormalWishartParams& prior, const math::Matrix& scale_inverse,
     const math::RunningMoments& moments) {
-  TEXRHEO_ASSIGN_OR_RETURN(
-      math::NormalWishartParams post,
-      prior.Posterior(moments.count(), moments.Mean(), moments.Scatter()));
+  TEXRHEO_ASSIGN_OR_RETURN(math::NormalWishartParams post,
+                           TopicPosterior(prior, scale_inverse, moments));
   return math::NormalWishartMean(post);
 }
 
@@ -77,6 +87,9 @@ JointTopicModel::JointTopicModel(const JointTopicModelConfig& config,
     num_tokens_ += doc.term_ids.size();
     max_doc_length_ = std::max(max_doc_length_, doc.term_ids.size());
   }
+  gel_dim_ = dataset->documents.front().gel_feature.size();
+  emu_dim_ = dataset->documents.front().emulsion_feature.size();
+  BuildMomentTable();
 }
 
 texrheo::StatusOr<JointTopicModel> JointTopicModel::Create(
@@ -99,6 +112,15 @@ texrheo::StatusOr<JointTopicModel> JointTopicModel::Create(
     return Status::InvalidArgument(
         "joint topic model: likelihood_interval must be >= 1");
   }
+  // The moment table gives every document the first one's row layout.
+  const Document& first = dataset->documents.front();
+  for (const Document& doc : dataset->documents) {
+    if (doc.gel_feature.size() != first.gel_feature.size() ||
+        doc.emulsion_feature.size() != first.emulsion_feature.size()) {
+      return Status::InvalidArgument(
+          "joint topic model: documents disagree on feature dimensions");
+    }
+  }
   JointTopicModel model(config, dataset);
   TEXRHEO_RETURN_IF_ERROR(model.InitializePriors());
   TEXRHEO_RETURN_IF_ERROR(model.InitializeAssignments());
@@ -116,6 +138,10 @@ texrheo::Status JointTopicModel::InitializePriors() {
   }
   TEXRHEO_RETURN_IF_ERROR(config_.gel_prior.Validate());
   TEXRHEO_RETURN_IF_ERROR(config_.emulsion_prior.Validate());
+  TEXRHEO_ASSIGN_OR_RETURN(gel_prior_scale_inverse_,
+                           math::InversePD(config_.gel_prior.scale));
+  TEXRHEO_ASSIGN_OR_RETURN(emu_prior_scale_inverse_,
+                           math::InversePD(config_.emulsion_prior.scale));
   return Status::OK();
 }
 
@@ -169,20 +195,41 @@ texrheo::Status JointTopicModel::InitializeAssignments() {
   return ResampleGaussians();
 }
 
+void JointTopicModel::BuildMomentTable() {
+  const auto& documents = docs_->documents;
+  const size_t gel_size = math::RunningMoments::PackedSize(gel_dim_);
+  const size_t stride = gel_size + math::RunningMoments::PackedSize(emu_dim_);
+  doc_moments_.resize(documents.size() * stride);
+  for (size_t d = 0; d < documents.size(); ++d) {
+    double* row = &doc_moments_[d * stride];
+    math::RunningMoments::Pack(documents[d].gel_feature, row);
+    math::RunningMoments::Pack(documents[d].emulsion_feature, row + gel_size);
+  }
+}
+
 JointTopicModel::TopicMoments JointTopicModel::AccumulateTopicMoments()
     const {
-  const auto& documents = docs_->documents;
   const size_t k_count = static_cast<size_t>(config_.num_topics);
-  TopicMoments moments{
-      std::vector<math::RunningMoments>(
-          k_count, math::RunningMoments(documents.front().gel_feature.size())),
-      std::vector<math::RunningMoments>(
-          k_count,
-          math::RunningMoments(documents.front().emulsion_feature.size()))};
-  for (size_t d = 0; d < documents.size(); ++d) {
+  const size_t gel_size = math::RunningMoments::PackedSize(gel_dim_);
+  const size_t stride = gel_size + math::RunningMoments::PackedSize(emu_dim_);
+  std::vector<double> sums(k_count * stride, 0.0);
+  std::vector<size_t> counts(k_count, 0);
+  for (size_t d = 0; d < y_.size(); ++d) {
     const size_t k = static_cast<size_t>(y_[d]);
-    moments.gel[k].Add(documents[d].gel_feature);
-    moments.emu[k].Add(documents[d].emulsion_feature);
+    ++counts[k];
+    double* sum = &sums[k * stride];
+    const double* row = &doc_moments_[d * stride];
+    for (size_t i = 0; i < stride; ++i) sum[i] += row[i];
+  }
+  TopicMoments moments;
+  moments.gel.reserve(k_count);
+  moments.emu.reserve(k_count);
+  for (size_t k = 0; k < k_count; ++k) {
+    const double* sum = &sums[k * stride];
+    moments.gel.push_back(
+        math::RunningMoments::FromPackedSum(counts[k], gel_dim_, sum));
+    moments.emu.push_back(math::RunningMoments::FromPackedSum(
+        counts[k], emu_dim_, sum + gel_size));
   }
   return moments;
 }
@@ -195,16 +242,14 @@ texrheo::Status JointTopicModel::ResampleGaussians() {
 
   // The draws keep topic order, gel before emulsion, on the master stream.
   for (size_t k = 0; k < moments.gel.size(); ++k) {
-    const math::RunningMoments& gel_moments = moments.gel[k];
-    const math::RunningMoments& emu_moments = moments.emu[k];
     TEXRHEO_ASSIGN_OR_RETURN(
         math::NormalWishartParams gel_post,
-        config_.gel_prior.Posterior(gel_moments.count(), gel_moments.Mean(),
-                                    gel_moments.Scatter()));
+        TopicPosterior(config_.gel_prior, gel_prior_scale_inverse_,
+                       moments.gel[k]));
     TEXRHEO_ASSIGN_OR_RETURN(
         math::NormalWishartParams emu_post,
-        config_.emulsion_prior.Posterior(
-            emu_moments.count(), emu_moments.Mean(), emu_moments.Scatter()));
+        TopicPosterior(config_.emulsion_prior, emu_prior_scale_inverse_,
+                       moments.emu[k]));
     TEXRHEO_ASSIGN_OR_RETURN(math::Gaussian g,
                              math::NormalWishartSample(rng_, gel_post));
     TEXRHEO_ASSIGN_OR_RETURN(math::Gaussian e,
@@ -282,16 +327,14 @@ texrheo::Status JointTopicModel::SampleYShard(
       }
       log_w[k] = lw;
     }
-    double norm = math::LogSumExp(log_w.data(), log_w.size());
-    if (!std::isfinite(norm)) {
+    const std::optional<size_t> topic =
+        rng.NextCategoricalFromLogs(log_w, weights);
+    if (!topic) {
       return Status::Internal(
           "numerical health: non-finite topic weights for document " +
           std::to_string(d));
     }
-    for (size_t k = 0; k < k_count; ++k) {
-      weights[k] = std::exp(log_w[k] - norm);
-    }
-    y_[d] = static_cast<int>(rng.NextCategorical(weights));
+    y_[d] = static_cast<int>(*topic);
   }
   return Status::OK();
 }
@@ -309,6 +352,10 @@ texrheo::Status JointTopicModel::ResyncWithData() {
     if (doc.term_ids.size() != z_[d].size()) {
       return Status::InvalidArgument("resync: token count changed");
     }
+    if (doc.gel_feature.size() != gel_dim_ ||
+        doc.emulsion_feature.size() != emu_dim_) {
+      return Status::InvalidArgument("resync: feature dimension changed");
+    }
     for (size_t n = 0; n < doc.term_ids.size(); ++n) {
       if (doc.term_ids[n] < 0 ||
           static_cast<size_t>(doc.term_ids[n]) >= vocab_size_) {
@@ -321,6 +368,7 @@ texrheo::Status JointTopicModel::ResyncWithData() {
   }
   // The instantiated Gaussians are conditioned on the old features; redraw
   // them so the next sweep's y conditionals see p(mu, Lambda | y, new data).
+  BuildMomentTable();
   return ResampleGaussians();
 }
 
@@ -803,27 +851,16 @@ TopicEstimates JointTopicModel::Estimate() const {
   // sample are needlessly noisy (exp(-mu) amplifies mean noise badly).
   const TopicMoments moments = AccumulateTopicMoments();
   for (size_t k = 0; k < moments.gel.size(); ++k) {
-    auto gel_mean = PosteriorMean(config_.gel_prior, moments.gel[k]);
-    auto emu_mean = PosteriorMean(config_.emulsion_prior, moments.emu[k]);
+    auto gel_mean = PosteriorMean(config_.gel_prior, gel_prior_scale_inverse_,
+                                  moments.gel[k]);
+    auto emu_mean = PosteriorMean(config_.emulsion_prior,
+                                  emu_prior_scale_inverse_, moments.emu[k]);
     est.gel_topics.push_back(gel_mean.ok() ? std::move(gel_mean).value()
                                            : gel_topics_[k]);
     est.emulsion_topics.push_back(emu_mean.ok() ? std::move(emu_mean).value()
                                                 : emulsion_topics_[k]);
   }
   return est;
-}
-
-math::Vector JointTopicModel::TopicGelFeatureMean(int k) const {
-  const auto& documents = docs_->documents;
-  math::Vector mean(documents.front().gel_feature.size());
-  int count = 0;
-  for (size_t d = 0; d < documents.size(); ++d) {
-    if (y_[d] != k) continue;
-    mean += documents[d].gel_feature;
-    ++count;
-  }
-  if (count > 0) mean *= 1.0 / static_cast<double>(count);
-  return mean;
 }
 
 texrheo::StatusOr<std::vector<double>> JointTopicModel::FoldInTheta(

@@ -154,10 +154,6 @@ class JointTopicModel {
   /// Extracts eq.-5 point estimates from the current state.
   TopicEstimates Estimate() const;
 
-  /// Mean gel feature vector of recipes currently assigned (y_d) to topic k;
-  /// zero vector when the topic is empty.
-  math::Vector TopicGelFeatureMean(int k) const;
-
   int num_topics() const { return config_.num_topics; }
   size_t num_documents() const { return docs_->documents.size(); }
   size_t vocab_size() const { return vocab_size_; }
@@ -182,11 +178,14 @@ class JointTopicModel {
   }
 
   /// Rebuilds the topic-word count caches from the current assignments and
-  /// the dataset's *current* token ids, then redraws the topic Gaussians
-  /// from their Normal-Wishart posteriors. The sampler-correctness harness
-  /// (Geweke successive-conditional chain) mutates the dataset's term ids
-  /// and features between sweeps and calls this to re-anchor the chain;
-  /// document count and per-document token counts must be unchanged.
+  /// the dataset's *current* token ids, and the per-document moment table
+  /// from its current features, then redraws the topic Gaussians from their
+  /// Normal-Wishart posteriors. The sampler-correctness harness (Geweke
+  /// successive-conditional chain) mutates the dataset's term ids and
+  /// features between sweeps and calls this to re-anchor the chain;
+  /// document count, per-document token counts and feature dimensions must
+  /// be unchanged. The Gaussian redraws and Estimate() read features only
+  /// through the table, so a caller that changes them must call this.
   texrheo::Status ResyncWithData();
 
   /// Current symmetric alpha (changes only when optimize_alpha is set).
@@ -298,8 +297,11 @@ class JointTopicModel {
 
   texrheo::Status InitializePriors();
   texrheo::Status InitializeAssignments();
-  /// Accumulates every topic's moments in one pass over the documents;
-  /// each topic sees its documents in index order.
+  /// Fills doc_moments_ from the dataset's current features.
+  void BuildMomentTable();
+  /// Accumulates every topic's moments in one pass over doc_moments_; each
+  /// topic sums its documents' rows in index order, so the moments are
+  /// bit-identical to RunningMoments::Add over those documents.
   TopicMoments AccumulateTopicMoments() const;
   texrheo::Status ResampleGaussians();
   /// Eq.-2 phase: the shard engine runs SweepZShard over every shard.
@@ -363,6 +365,17 @@ class JointTopicModel {
   std::vector<int> n_vk_;               // [v * K + k]: term v in topic k.
   std::vector<int> n_k_;                // words in topic k.
   std::vector<int> m_k_;                // docs whose y == k.
+  // Per-document moment rows: doc_moments_[d * stride ...] holds the packed
+  // gel row then the packed emulsion row (RunningMoments::Pack), stride =
+  // PackedSize(gel_dim_) + PackedSize(emu_dim_). The features are fixed
+  // between resyncs, so the rows are built once instead of every sweep.
+  size_t gel_dim_ = 0;
+  size_t emu_dim_ = 0;
+  std::vector<double> doc_moments_;
+  // The priors' scale inverses, taken once by InitializePriors for the
+  // per-topic posterior updates.
+  math::Matrix gel_prior_scale_inverse_;
+  math::Matrix emu_prior_scale_inverse_;
   // Gaussian components (instantiated, resampled each sweep).
   std::vector<math::Gaussian> gel_topics_;
   std::vector<math::Gaussian> emulsion_topics_;

@@ -11,6 +11,20 @@ namespace {
 constexpr double kLog2Pi = 1.8378770664093454836;
 constexpr double kLog2 = 0.6931471805599453094;
 
+// NormalWishartParams::Validate short of factoring the scale.
+texrheo::Status ValidateShape(const NormalWishartParams& nw) {
+  size_t d = nw.mu0.size();
+  if (d == 0) return Status::InvalidArgument("NW: empty mean");
+  if (nw.scale.rows() != d || nw.scale.cols() != d) {
+    return Status::InvalidArgument("NW: scale dimension mismatch");
+  }
+  if (nw.beta <= 0.0) return Status::InvalidArgument("NW: beta must be > 0");
+  if (nw.nu <= static_cast<double>(d) - 1.0) {
+    return Status::InvalidArgument("NW: nu must exceed dim - 1");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 double GammaSample(Rng& rng, double shape, double scale) {
@@ -146,13 +160,20 @@ texrheo::StatusOr<Matrix> WishartSample(Rng& rng, double nu,
     return Status::InvalidArgument("Wishart requires nu > dim - 1");
   }
   TEXRHEO_ASSIGN_OR_RETURN(Cholesky chol, CholeskyWithJitter(scale));
+  return WishartSample(rng, nu, chol);
+}
+
+Matrix WishartSample(Rng& rng, double nu, const Cholesky& scale_chol) {
+  const Matrix& l = scale_chol.L();
+  size_t d = l.rows();
+  assert(nu > static_cast<double>(d) - 1.0);
   // Bartlett: A lower-triangular, A_ii = sqrt(chi2(nu - i)), A_ij ~ N(0,1).
   Matrix a(d, d);
   for (size_t i = 0; i < d; ++i) {
     a(i, i) = std::sqrt(ChiSquaredSample(rng, nu - static_cast<double>(i)));
     for (size_t j = 0; j < i; ++j) a(i, j) = rng.NextGaussian();
   }
-  Matrix la = chol.L().Multiply(a);
+  Matrix la = l.Multiply(a);
   return la.Multiply(la.Transposed());
 }
 
@@ -174,15 +195,7 @@ texrheo::StatusOr<double> WishartLogPdf(const Matrix& x, double nu,
 }
 
 texrheo::Status NormalWishartParams::Validate() const {
-  size_t d = mu0.size();
-  if (d == 0) return Status::InvalidArgument("NW: empty mean");
-  if (scale.rows() != d || scale.cols() != d) {
-    return Status::InvalidArgument("NW: scale dimension mismatch");
-  }
-  if (beta <= 0.0) return Status::InvalidArgument("NW: beta must be > 0");
-  if (nu <= static_cast<double>(d) - 1.0) {
-    return Status::InvalidArgument("NW: nu must exceed dim - 1");
-  }
+  TEXRHEO_RETURN_IF_ERROR(ValidateShape(*this));
   return Cholesky::Factor(scale).status();
 }
 
@@ -194,13 +207,21 @@ texrheo::StatusOr<NormalWishartParams> NormalWishartParams::Posterior(
 texrheo::StatusOr<NormalWishartParams> NormalWishartParams::PosteriorWeighted(
     double effective_n, const Vector& mean, const Matrix& scatter) const {
   if (effective_n <= 0.0) return *this;
+  TEXRHEO_ASSIGN_OR_RETURN(Matrix s_inv, InversePD(scale));
+  return PosteriorWeighted(effective_n, mean, scatter, s_inv);
+}
+
+texrheo::StatusOr<NormalWishartParams> NormalWishartParams::PosteriorWeighted(
+    double effective_n, const Vector& mean, const Matrix& scatter,
+    const Matrix& scale_inverse) const {
+  if (effective_n <= 0.0) return *this;
   double nn = effective_n;
   NormalWishartParams post;
   post.beta = beta + nn;
   post.nu = nu + nn;
   post.mu0 = (1.0 / (nn + beta)) * (nn * mean + beta * mu0);
   // S_c^{-1} = S^{-1} + scatter + n*beta/(n+beta) (mean-mu0)(mean-mu0)^T
-  TEXRHEO_ASSIGN_OR_RETURN(Matrix s_inv, InversePD(scale));
+  Matrix s_inv = scale_inverse;
   Vector diff = mean - mu0;
   s_inv += scatter;
   s_inv += (nn * beta / (nn + beta)) * Matrix::Outer(diff, diff);
@@ -210,8 +231,11 @@ texrheo::StatusOr<NormalWishartParams> NormalWishartParams::PosteriorWeighted(
 
 texrheo::StatusOr<Gaussian> NormalWishartSample(
     Rng& rng, const NormalWishartParams& nw) {
-  TEXRHEO_RETURN_IF_ERROR(nw.Validate());
-  TEXRHEO_ASSIGN_OR_RETURN(Matrix lambda, WishartSample(rng, nw.nu, nw.scale));
+  // Validate() would factor the scale only to discard the factor; take it
+  // once here and draw from it (a scale that factors needs no jitter).
+  TEXRHEO_RETURN_IF_ERROR(ValidateShape(nw));
+  TEXRHEO_ASSIGN_OR_RETURN(Cholesky scale_chol, Cholesky::Factor(nw.scale));
+  Matrix lambda = WishartSample(rng, nw.nu, scale_chol);
   TEXRHEO_ASSIGN_OR_RETURN(Gaussian mu_dist,
                            Gaussian::FromPrecision(nw.mu0, nw.beta * lambda));
   Vector mu = mu_dist.Sample(rng);

@@ -68,10 +68,15 @@ class Gaussian {
 double GaussianKL(const Gaussian& p, const Gaussian& q);
 
 /// Draws Lambda ~ Wishart(nu, scale) via the Bartlett decomposition.
-/// Requires nu > dim - 1 and positive-definite `scale` (its Cholesky factor
-/// is recomputed per call; hoist it if this ever becomes hot).
+/// Requires nu > dim - 1 and positive-definite `scale`, which it factors
+/// (with the jitter ladder) and hands to the overload below.
 texrheo::StatusOr<Matrix> WishartSample(Rng& rng, double nu,
                                         const Matrix& scale);
+
+/// The same draw from the scale's Cholesky factor, for callers that have
+/// already factored it (NormalWishartSample reuses the factor its
+/// validation takes). Requires nu > dim - 1.
+Matrix WishartSample(Rng& rng, double nu, const Cholesky& scale_chol);
 
 /// Log density of the Wishart distribution at a positive-definite X.
 texrheo::StatusOr<double> WishartLogPdf(const Matrix& x, double nu,
@@ -105,6 +110,13 @@ struct NormalWishartParams {
   /// effective_n <= 0 returns the prior unchanged.
   texrheo::StatusOr<NormalWishartParams> PosteriorWeighted(
       double effective_n, const Vector& mean, const Matrix& scatter) const;
+
+  /// The same update given `scale_inverse` = S^{-1}, which the form above
+  /// recomputes on every call; a sampler that updates one prior every sweep
+  /// inverts S once. Bit-identical to the form above.
+  texrheo::StatusOr<NormalWishartParams> PosteriorWeighted(
+      double effective_n, const Vector& mean, const Matrix& scatter,
+      const Matrix& scale_inverse) const;
 };
 
 /// One draw (mu_k, Lambda_k) from a Normal–Wishart distribution; the result

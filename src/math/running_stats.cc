@@ -34,6 +34,32 @@ void RunningMoments::Add(const Vector& x) {
   sum_outer_.AddOuter(x);
 }
 
+size_t RunningMoments::PackedSize(size_t dim) {
+  return dim + dim * (dim + 1) / 2;
+}
+
+void RunningMoments::Pack(const Vector& x, double* out) {
+  const size_t dim = x.size();
+  for (size_t i = 0; i < dim; ++i) *out++ = x[i];
+  for (size_t r = 0; r < dim; ++r) {
+    for (size_t c = r; c < dim; ++c) *out++ = x[r] * x[c];
+  }
+}
+
+RunningMoments RunningMoments::FromPackedSum(size_t n, size_t dim,
+                                             const double* packed_sum) {
+  RunningMoments moments(dim);
+  moments.n_ = n;
+  for (size_t i = 0; i < dim; ++i) moments.sum_[i] = *packed_sum++;
+  for (size_t r = 0; r < dim; ++r) {
+    for (size_t c = r; c < dim; ++c) {
+      moments.sum_outer_(r, c) = *packed_sum;
+      moments.sum_outer_(c, r) = *packed_sum++;
+    }
+  }
+  return moments;
+}
+
 Vector RunningMoments::Mean() const {
   Vector m = sum_;
   if (n_ > 0) m *= 1.0 / static_cast<double>(n_);

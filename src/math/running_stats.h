@@ -39,6 +39,23 @@ class RunningMoments {
 
   void Add(const Vector& x);
 
+  /// Doubles in the packed moment row of a `dim`-vector x: x itself, then
+  /// the upper triangle of x x^T row by row. Summing packed rows is Add
+  /// without the lower triangle or the per-point heap vectors, for callers
+  /// that regroup one fixed set of points many times.
+  static size_t PackedSize(size_t dim);
+
+  /// Writes x's packed moment row to out[0, PackedSize(x.size())).
+  static void Pack(const Vector& x, double* out);
+
+  /// The accumulator of `n` points of dimension `dim` whose packed rows sum
+  /// to `packed_sum`. When the rows are summed from 0.0 in the order Add
+  /// would have seen the points, the result is bit-identical to those Add
+  /// calls: both sum every product x_r x_c in that order, and the lower
+  /// triangle copies the upper one because IEEE multiplication commutes.
+  static RunningMoments FromPackedSum(size_t n, size_t dim,
+                                      const double* packed_sum);
+
   size_t count() const { return n_; }
   size_t dim() const { return sum_.size(); }
   Vector Mean() const;

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace texrheo {
 namespace {
@@ -98,6 +99,28 @@ size_t Rng::NextCategorical(const std::vector<double>& weights) {
     assert(w >= 0.0);
     total += w;
   }
+  return DrawCategorical(weights, total);
+}
+
+std::optional<size_t> Rng::NextCategoricalFromLogs(
+    const std::vector<double>& log_weights, std::vector<double>& weights) {
+  assert(!log_weights.empty() && weights.size() == log_weights.size());
+  // A NaN fails every comparison, so it never becomes the maximum; it
+  // surfaces in the total instead.
+  double max = -std::numeric_limits<double>::infinity();
+  for (double lw : log_weights) max = lw > max ? lw : max;
+  if (!std::isfinite(max)) return std::nullopt;
+  double total = 0.0;
+  for (size_t i = 0; i < log_weights.size(); ++i) {
+    weights[i] = std::exp(log_weights[i] - max);
+    total += weights[i];
+  }
+  if (!std::isfinite(total)) return std::nullopt;
+  return DrawCategorical(weights, total);
+}
+
+size_t Rng::DrawCategorical(const std::vector<double>& weights,
+                            double total) {
   assert(total > 0.0);
   double u = NextDouble() * total;
   double acc = 0.0;

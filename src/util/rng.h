@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -47,6 +48,16 @@ class Rng {
   /// Index drawn from unnormalized non-negative weights; requires a positive
   /// total. Linear scan — O(n); use math::AliasTable for repeated draws.
   size_t NextCategorical(const std::vector<double>& weights);
+
+  /// Index drawn with probability proportional to exp(log_weights[i]), the
+  /// one draw behind every Gibbs y conditional. The log-weights are shifted
+  /// by their maximum before exponentiation, so no normalizer is taken: the
+  /// draw is NextCategorical over exp(log_weights[i] - max), which `weights`
+  /// (scratch of the same, non-zero size) holds on return. Returns nullopt,
+  /// and draws nothing, when the maximum or the shifted total is not
+  /// finite: a NaN or +inf entry, or every entry -inf.
+  std::optional<size_t> NextCategoricalFromLogs(
+      const std::vector<double>& log_weights, std::vector<double>& weights);
 
   /// In-place Fisher–Yates shuffle.
   template <typename T>
@@ -95,6 +106,9 @@ class Rng {
   void RestoreState(const State& state);
 
  private:
+  /// NextCategorical's scan, given the weights' total summed in index order.
+  size_t DrawCategorical(const std::vector<double>& weights, double total);
+
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "math/running_stats.h"
 
@@ -299,6 +301,103 @@ TEST(NormalWishartTest, MeanGaussianUsesExpectedPrecision) {
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->mean(), nw.mu0);
   EXPECT_LT(g->precision().MaxAbsDiff(Matrix::Identity(2, 1.0)), 1e-12);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameBits(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t c = 0; c < a.cols(); ++c) {
+      EXPECT_EQ(Bits(a(r, c)), Bits(b(r, c))) << "(" << r << ", " << c << ")";
+    }
+  }
+}
+
+void ExpectSameBits(const Vector& a, const Vector& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(Bits(a[i]), Bits(b[i])) << "[" << i << "]";
+  }
+}
+
+// A dense positive-definite 3x3 scale, B B^T + 0.5 I.
+Matrix DenseScale(uint64_t seed) {
+  texrheo::Rng rng(seed);
+  Matrix b(3, 3);
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 3; ++c) b(r, c) = rng.NextGaussian();
+  }
+  Matrix scale = b.Multiply(b.Transposed());
+  for (size_t i = 0; i < 3; ++i) scale(i, i) += 0.5;
+  return scale;
+}
+
+TEST(WishartTest, FactorOverloadDrawsTheSameMatrix) {
+  const Matrix scale = DenseScale(13);
+  auto chol = Cholesky::Factor(scale);
+  ASSERT_TRUE(chol.ok());
+  texrheo::Rng from_scale(14), from_factor(14);
+  for (int i = 0; i < 50; ++i) {
+    auto w = WishartSample(from_scale, 4.5, scale);
+    ASSERT_TRUE(w.ok());
+    ExpectSameBits(WishartSample(from_factor, 4.5, *chol), *w);
+  }
+}
+
+TEST(NormalWishartTest, SampleIsTheWishartDrawThenTheMeanDraw) {
+  // NormalWishartSample factors the scale once; its draws must be the
+  // composition Lambda ~ W(nu, S), mu ~ N(mu0, (beta Lambda)^{-1}) on the
+  // same stream, bit for bit.
+  NormalWishartParams nw;
+  nw.mu0 = Vector{0.5, -1.0, 2.0};
+  nw.beta = 2.5;
+  nw.nu = 5.0;
+  nw.scale = DenseScale(15);
+  texrheo::Rng sampled(16), composed(16);
+  for (int i = 0; i < 50; ++i) {
+    auto g = NormalWishartSample(sampled, nw);
+    ASSERT_TRUE(g.ok());
+    auto lambda = WishartSample(composed, nw.nu, nw.scale);
+    ASSERT_TRUE(lambda.ok());
+    auto mu_dist = Gaussian::FromPrecision(nw.mu0, nw.beta * *lambda);
+    ASSERT_TRUE(mu_dist.ok());
+    const Vector mu = mu_dist->Sample(composed);
+    ExpectSameBits(g->mean(), mu);
+    ExpectSameBits(g->precision(), *lambda);
+  }
+}
+
+TEST(NormalWishartTest, PosteriorFromScaleInverseIsBitIdentical) {
+  NormalWishartParams prior;
+  prior.mu0 = Vector{1.0, 0.0, -2.0};
+  prior.beta = 0.5;
+  prior.nu = 6.0;
+  prior.scale = DenseScale(17);
+  auto inverse = InversePD(prior.scale);
+  ASSERT_TRUE(inverse.ok());
+  texrheo::Rng rng(18);
+  RunningMoments moments(3);
+  for (int i = 0; i < 25; ++i) {
+    moments.Add({rng.NextGaussian(), 2.0 * rng.NextGaussian(),
+                 rng.NextGaussian() - 3.0});
+  }
+  for (double n : {0.0, 2.5, 25.0}) {
+    SCOPED_TRACE(n);
+    auto direct = prior.PosteriorWeighted(n, moments.Mean(), moments.Scatter());
+    auto given = prior.PosteriorWeighted(n, moments.Mean(), moments.Scatter(),
+                                         *inverse);
+    ASSERT_TRUE(direct.ok() && given.ok());
+    EXPECT_EQ(Bits(given->beta), Bits(direct->beta));
+    EXPECT_EQ(Bits(given->nu), Bits(direct->nu));
+    ExpectSameBits(given->mu0, direct->mu0);
+    ExpectSameBits(given->scale, direct->scale);
+  }
 }
 
 }  // namespace

@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "eval/metrics.h"
+#include "math/running_stats.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,6 +78,9 @@ TEST(JointTopicModelTest, CreateValidatesInput) {
   EXPECT_FALSE(JointTopicModel::Create(config, &ds).ok());
   recipe::Dataset empty;
   EXPECT_FALSE(JointTopicModel::Create(SmallConfig(), &empty).ok());
+  recipe::Dataset ragged = PlantedDataset(5, 1);
+  ragged.documents[3].emulsion_feature = math::Vector(3, 9.0);
+  EXPECT_FALSE(JointTopicModel::Create(SmallConfig(), &ragged).ok());
 }
 
 TEST(JointTopicModelTest, RecoversPlantedClusters) {
@@ -450,6 +456,31 @@ TEST(JointTopicModelTest, FoldInThetaRejectsBadInput) {
   EXPECT_FALSE(model->FoldInTheta(doc, 0).ok());
 }
 
+TEST(JointTopicModelTest, FoldInWithoutAFiniteDensityFallsBackToCounts) {
+  recipe::Dataset ds = PlantedDataset(20, 23);
+  auto model = JointTopicModel::Create(SmallConfig(), &ds);
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(model->RunSweeps(10).ok());
+  recipe::Document doc;
+  doc.term_ids = {0, 1, 0};
+  doc.emulsion_feature = math::Vector(2, 9.0);
+  // Every topic's y weight is -inf or NaN: the y draw refuses them and
+  // the fold-in draws y from the word counts instead.
+  for (double feature : {1e200, std::nan("")}) {
+    SCOPED_TRACE(feature);
+    doc.gel_feature = math::Vector(3, feature);
+    Rng rng(5);
+    auto theta = model->FoldInTheta(doc, 10, rng);
+    ASSERT_TRUE(theta.ok());
+    double sum = 0.0;
+    for (double t : *theta) {
+      EXPECT_TRUE(std::isfinite(t));
+      sum += t;
+    }
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+  }
+}
+
 TEST(JointTopicModelTest, AlphaOptimizationStaysInBoundsAndHelps) {
   recipe::Dataset ds = PlantedDataset(60, 14);
   JointTopicModelConfig config = SmallConfig(4);
@@ -572,6 +603,80 @@ TEST(JointTopicModelTest, GmmInitRecoversClustersFaster) {
   auto scores = eval::ScoreClustering(y, truth);
   ASSERT_TRUE(scores.ok());
   EXPECT_GT(scores->purity, 0.9);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameBits(const math::Gaussian& actual,
+                    const math::Gaussian& expected) {
+  ASSERT_EQ(actual.dim(), expected.dim());
+  for (size_t r = 0; r < actual.dim(); ++r) {
+    EXPECT_EQ(Bits(actual.mean()[r]), Bits(expected.mean()[r]));
+    for (size_t c = 0; c < actual.dim(); ++c) {
+      EXPECT_EQ(Bits(actual.precision()(r, c)),
+                Bits(expected.precision()(r, c)));
+    }
+  }
+}
+
+// Estimate()'s Gaussians are the Normal-Wishart posterior means of each
+// topic's member moments. Recomputes them from RunningMoments::Add over the
+// members of every topic (in document order) and compares bit for bit.
+void ExpectEstimateMatchesAddedMoments(const JointTopicModel& model,
+                                       const recipe::Dataset& ds) {
+  const TopicEstimates est = model.Estimate();
+  const JointTopicModelConfig& config = model.config();
+  for (int k = 0; k < model.num_topics(); ++k) {
+    SCOPED_TRACE("topic " + std::to_string(k));
+    math::RunningMoments gel(ds.documents.front().gel_feature.size());
+    math::RunningMoments emu(ds.documents.front().emulsion_feature.size());
+    for (size_t d = 0; d < ds.documents.size(); ++d) {
+      if (model.y()[d] != k) continue;
+      gel.Add(ds.documents[d].gel_feature);
+      emu.Add(ds.documents[d].emulsion_feature);
+    }
+    auto gel_post =
+        config.gel_prior.Posterior(gel.count(), gel.Mean(), gel.Scatter());
+    auto emu_post = config.emulsion_prior.Posterior(emu.count(), emu.Mean(),
+                                                    emu.Scatter());
+    ASSERT_TRUE(gel_post.ok() && emu_post.ok());
+    auto gel_mean = math::NormalWishartMean(*gel_post);
+    auto emu_mean = math::NormalWishartMean(*emu_post);
+    ASSERT_TRUE(gel_mean.ok() && emu_mean.ok());
+    ExpectSameBits(est.gel_topics[static_cast<size_t>(k)], *gel_mean);
+    ExpectSameBits(est.emulsion_topics[static_cast<size_t>(k)], *emu_mean);
+  }
+}
+
+TEST(JointTopicModelTest, TopicMomentTableMatchesPerDocumentAdd) {
+  recipe::Dataset ds = PlantedDataset(10, 21);
+  auto model = JointTopicModel::Create(SmallConfig(6), &ds);
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(model->RunSweeps(5).ok());
+  std::vector<int> members(6, 0);
+  for (int k : model->y()) ++members[static_cast<size_t>(k)];
+  ASSERT_GE(std::count(members.begin(), members.end(), 0), 1)
+      << "the corpus must leave a topic empty";
+  ASSERT_GE(*std::max_element(members.begin(), members.end()), 2);
+  ExpectEstimateMatchesAddedMoments(*model, ds);
+
+  // The table copies the features, so after they change only the rebuild
+  // in ResyncWithData makes the topic moments follow them.
+  for (recipe::Document& doc : ds.documents) {
+    for (size_t j = 0; j < doc.gel_feature.size(); ++j) {
+      doc.gel_feature[j] =
+          0.5 * doc.gel_feature[j] + 0.1 * static_cast<double>(j);
+    }
+    for (size_t j = 0; j < doc.emulsion_feature.size(); ++j) {
+      doc.emulsion_feature[j] = 1.25 * doc.emulsion_feature[j] - 0.3;
+    }
+  }
+  ASSERT_TRUE(model->ResyncWithData().ok());
+  ExpectEstimateMatchesAddedMoments(*model, ds);
 }
 
 }  // namespace

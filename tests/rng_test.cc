@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "math/running_stats.h"
+#include "math/special.h"
 
 namespace texrheo {
 namespace {
@@ -105,6 +108,61 @@ TEST(RngTest, CategoricalRespectsWeights) {
 TEST(RngTest, CategoricalSingleElement) {
   Rng rng(1);
   EXPECT_EQ(rng.NextCategorical({5.0}), 0u);
+}
+
+TEST(RngTest, CategoricalFromLogsMatchesNormalizedDraw) {
+  // Twin generators on one stream: the helper must pick the index that
+  // NextCategorical picks over the LogSumExp-normalized weights, across
+  // offsets that would overflow exp, spreads up to 700 nats, and -inf
+  // entries (zero weight on both paths).
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  const size_t kSizes[] = {1, 2, 10, 17};
+  Rng vectors(37);
+  Rng shifted(41), normalized(41);
+  std::vector<double> scratch, weights;
+  for (int trial = 0; trial < 100000; ++trial) {
+    const size_t k_count = kSizes[trial % 4];
+    const double offset = vectors.NextUniform(-1000.0, 1000.0);
+    const double spread = vectors.NextUniform(0.0, 700.0);
+    std::vector<double> log_w(k_count);
+    for (double& lw : log_w) {
+      lw = vectors.NextBernoulli(0.1)
+               ? neg_inf
+               : offset - spread * vectors.NextDouble();
+    }
+    log_w[vectors.NextUint(k_count)] = offset;  // At least one finite.
+    scratch.resize(k_count);
+    const std::optional<size_t> drawn =
+        shifted.NextCategoricalFromLogs(log_w, scratch);
+    ASSERT_TRUE(drawn.has_value()) << "trial " << trial;
+    const double norm = math::LogSumExp(log_w.data(), k_count);
+    weights.resize(k_count);
+    for (size_t k = 0; k < k_count; ++k) {
+      weights[k] = std::exp(log_w[k] - norm);
+    }
+    ASSERT_EQ(*drawn, normalized.NextCategorical(weights)) << "trial " << trial;
+  }
+}
+
+TEST(RngTest, CategoricalFromLogsRefusesNonFiniteWeights) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> refused = {
+      {0.0, nan, 1.0}, {nan}, {nan, -inf}, {0.0, inf, 1.0},
+      {inf},           {-inf, -inf, -inf}, {-inf}};
+  for (const std::vector<double>& log_w : refused) {
+    Rng rng(43), untouched(43);
+    std::vector<double> weights(log_w.size());
+    EXPECT_FALSE(rng.NextCategoricalFromLogs(log_w, weights).has_value());
+    EXPECT_EQ(rng.NextU64(), untouched.NextU64()) << "a refusal drew";
+  }
+  // One finite entry among -inf ones is a sure draw.
+  Rng rng(47);
+  std::vector<double> weights(3);
+  const std::optional<size_t> drawn =
+      rng.NextCategoricalFromLogs({-inf, 2.0, -inf}, weights);
+  ASSERT_TRUE(drawn.has_value());
+  EXPECT_EQ(*drawn, 1u);
 }
 
 TEST(RngTest, ShufflePreservesElements) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace texrheo::math {
@@ -92,6 +96,43 @@ TEST(RunningMomentsTest, RecoversKnownCovariance) {
   EXPECT_NEAR(cov(0, 0), 1.0, 0.03);
   EXPECT_NEAR(cov(0, 1), 0.5, 0.02);
   EXPECT_NEAR(cov(1, 1), 0.26, 0.02);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(RunningMomentsTest, PackedSumsMatchAddBitForBit) {
+  texrheo::Rng rng(5);
+  for (size_t dim : {1, 3, 6}) {
+    SCOPED_TRACE(dim);
+    const size_t packed = RunningMoments::PackedSize(dim);
+    EXPECT_EQ(packed, dim + dim * (dim + 1) / 2);
+    for (size_t n : {0, 1, 2, 37}) {
+      RunningMoments added(dim);
+      std::vector<double> sum(packed, 0.0), row(packed);
+      for (size_t i = 0; i < n; ++i) {
+        Vector x(dim);
+        for (size_t j = 0; j < dim; ++j) x[j] = 3.0 * rng.NextGaussian() - 1.0;
+        added.Add(x);
+        RunningMoments::Pack(x, row.data());
+        for (size_t j = 0; j < packed; ++j) sum[j] += row[j];
+      }
+      const RunningMoments summed =
+          RunningMoments::FromPackedSum(n, dim, sum.data());
+      ASSERT_EQ(summed.count(), n);
+      const Vector mean_a = added.Mean(), mean_s = summed.Mean();
+      const Matrix scatter_a = added.Scatter(), scatter_s = summed.Scatter();
+      for (size_t r = 0; r < dim; ++r) {
+        EXPECT_EQ(Bits(mean_s[r]), Bits(mean_a[r]));
+        for (size_t c = 0; c < dim; ++c) {
+          EXPECT_EQ(Bits(scatter_s(r, c)), Bits(scatter_a(r, c)));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
