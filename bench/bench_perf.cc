@@ -452,9 +452,10 @@ BENCHMARK(BM_CheckpointSaveRestore)
 // ci.sh --bench filters on 'BM_SnapshotLoad' and writes the JSON to
 // bench/out/model_load.json, then gates on the warm-mmap speedup: loading
 // the packed .dat/.idx pair must be >= 20x faster than parsing the v2
-// text file (compare "real_time" across the two entries). The mmap path
-// still pays the per-section CRC pass and the summary build; what it
-// never pays is text-to-double parsing or a per-load heap copy of phi.
+// text file (compare "real_time" across the two entries). The v2 entry
+// parses the text and then packs it in memory into the same image the
+// mmap entry maps; both pay the per-section CRC pass and the summary
+// build, and only the v2 entry pays text-to-double parsing and the pack.
 
 struct SnapshotLoadFiles {
   std::string v2;   ///< v2 text model file.

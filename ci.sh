@@ -53,7 +53,7 @@ ASAN_SUITES=(
   ingest_chaos_test geweke_test sampler_exactness_test alias_table_test
   topic_gaussians_test joint_topic_model_test regression_test
   collapsed_sampler_test query_engine_test serve_server_test
-  running_stats_test distributions_test
+  running_stats_test distributions_test serve_snapshot_test
 )
 # "^(a|b|c)$": a ctest -R filter matching exactly the named suites.
 suite_regex() {

@@ -112,28 +112,6 @@ bool FreeLengthSection(ModelSection id) {
   return id == ModelSection::kVocabPool || id == ModelSection::kEmbedding;
 }
 
-/// RAII unmapper for the window between Map and MappedModel ownership.
-class ScopedRegion {
- public:
-  ScopedRegion(MappedRegion region, MemoryMapOps* ops)
-      : region_(region), ops_(ops) {}
-  ~ScopedRegion() {
-    if (ops_ != nullptr) ops_->Unmap(region_);
-  }
-  ScopedRegion(const ScopedRegion&) = delete;
-  ScopedRegion& operator=(const ScopedRegion&) = delete;
-
-  const MappedRegion& region() const { return region_; }
-  MappedRegion Release() {
-    ops_ = nullptr;
-    return region_;
-  }
-
- private:
-  MappedRegion region_;
-  MemoryMapOps* ops_;
-};
-
 bool EndsWith(const std::string& s, const char* suffix) {
   size_t n = std::strlen(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
@@ -329,9 +307,8 @@ Status ValidateModelBinaryIndex(const ModelBinaryIndex& index) {
   return Status::OK();
 }
 
-Status WriteModelBinary(const ModelSnapshot& snapshot,
-                        const std::string& base_or_idx, FileOps& ops,
-                        const embed::EmbeddingTable* embeddings) {
+StatusOr<PackedModel> PackModelBinary(
+    const ModelSnapshot& snapshot, const embed::EmbeddingTable* embeddings) {
   // Canonicalize through the v2 text round-trip: the packed doubles are
   // exactly what LoadModel of the v2 file would produce, so a binary model
   // and its v2 twin serve bit-identical answers, and the fingerprint below
@@ -410,13 +387,14 @@ Status WriteModelBinary(const ModelSnapshot& snapshot,
   offsets.push_back(pool.size());
 
   // Assemble the .dat image and the section table in one pass.
-  ModelBinaryIndex index;
+  PackedModel packed;
+  ModelBinaryIndex& index = packed.index;
   index.num_topics = static_cast<uint32_t>(k_count);
   index.vocab_size = v_count;
   index.gel_dim = static_cast<uint32_t>(gel_dim);
   index.emulsion_dim = static_cast<uint32_t>(emulsion_dim);
   index.fingerprint = fingerprint;
-  std::string dat;
+  std::string& dat = packed.dat;
   dat.append(kDatMagic, sizeof(kDatMagic));
   auto add_section = [&dat, &index](ModelSection id, const void* data,
                                     size_t bytes, uint64_t count) {
@@ -449,8 +427,10 @@ Status WriteModelBinary(const ModelSnapshot& snapshot,
               word_counts.size() * sizeof(int64_t), word_counts.size());
   add_section(ModelSection::kVocabPool, pool.data(), pool.size(),
               pool.size());
-  if (embeddings != nullptr && !embeddings->empty()) {
+  if (embeddings != nullptr) {
     TEXRHEO_RETURN_IF_ERROR(embed::ValidateEmbeddingTable(*embeddings));
+  }
+  if (embeddings != nullptr && !embeddings->empty()) {
     if (embeddings->vocab_size() != v_count) {
       return Status::InvalidArgument(
           "model binary: embedding table covers " +
@@ -465,14 +445,22 @@ Status WriteModelBinary(const ModelSnapshot& snapshot,
                 embeddings->norms.size());
   }
   index.data_file_size = dat.size();
+  return packed;
+}
 
+Status WriteModelBinary(const ModelSnapshot& snapshot,
+                        const std::string& base_or_idx, FileOps& ops,
+                        const embed::EmbeddingTable* embeddings) {
+  TEXRHEO_ASSIGN_OR_RETURN(PackedModel packed,
+                           PackModelBinary(snapshot, embeddings));
   // .dat first, .idx last: both renames are atomic, so a crash anywhere in
   // between leaves either the previous pair or a fresh .dat that no valid
   // index references yet. A readable .idx therefore implies a fully
   // written .dat.
   ModelBinaryPaths paths = ModelBinaryPathsFor(base_or_idx);
-  TEXRHEO_RETURN_IF_ERROR(AtomicWriteFile(paths.dat, dat, ops));
-  return AtomicWriteFile(paths.idx, EncodeModelBinaryIndex(index), ops);
+  TEXRHEO_RETURN_IF_ERROR(AtomicWriteFile(paths.dat, packed.dat, ops));
+  return AtomicWriteFile(paths.idx, EncodeModelBinaryIndex(packed.index),
+                         ops);
 }
 
 Status ConvertModelFileToBinary(const std::string& v2_path,
@@ -522,57 +510,29 @@ MemoryMapOps& MemoryMapOps::Real() {
   return *ops;
 }
 
-MappedModel::MappedModel(ModelBinaryPaths paths, ModelBinaryIndex index,
-                         MappedRegion region, MemoryMapOps* ops)
-    : paths_(std::move(paths)),
-      index_(std::move(index)),
-      region_(region),
-      ops_(ops) {
-  auto base = [this](size_t slot) {
-    return region_.data + index_.sections[slot].offset;
-  };
-  phi_ = reinterpret_cast<const double*>(base(0));
-  gel_mean_ = reinterpret_cast<const double*>(base(1));
-  gel_prec_ = reinterpret_cast<const double*>(base(2));
-  emulsion_mean_ = reinterpret_cast<const double*>(base(3));
-  emulsion_prec_ = reinterpret_cast<const double*>(base(4));
-  recipe_counts_ = reinterpret_cast<const int64_t*>(base(5));
-  vocab_offsets_ = reinterpret_cast<const uint64_t*>(base(6));
-  vocab_counts_ = reinterpret_cast<const int64_t*>(base(7));
-  pool_ = reinterpret_cast<const char*>(base(8));
-  if (index_.sections.size() == kModelSectionCountWithEmbeddings) {
-    embedding_ = reinterpret_cast<const float*>(base(9));
-    embedding_norms_ = reinterpret_cast<const float*>(base(10));
-    embedding_dim_ =
-        static_cast<size_t>(index_.sections[9].count / index_.vocab_size);
-  }
-}
+namespace {
 
-MappedModel::~MappedModel() { ops_->Unmap(region_); }
+// A packed image's bytes come from operator new (see MappedModel::image_).
+static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= alignof(double),
+              "packed model images need 8-byte-aligned heap blocks");
 
-StatusOr<std::shared_ptr<const MappedModel>> MappedModel::Open(
-    const std::string& base_or_idx, MemoryMapOps& ops) {
-  ModelBinaryPaths paths = ModelBinaryPathsFor(base_or_idx);
-  TEXRHEO_ASSIGN_OR_RETURN(std::string idx_bytes,
-                           ReadFileToString(paths.idx));
-  TEXRHEO_ASSIGN_OR_RETURN(ModelBinaryIndex index,
-                           ParseModelBinaryIndex(idx_bytes));
-  TEXRHEO_RETURN_IF_ERROR(ValidateModelBinaryIndex(index));
-
-  TEXRHEO_ASSIGN_OR_RETURN(MappedRegion raw, ops.Map(paths.dat));
-  ScopedRegion region(raw, &ops);
-  const uint8_t* data = region.region().data;
-  if (region.region().size != index.data_file_size) {
+/// Checks an image's bytes against its validated index: size, magic,
+/// per-section CRC, vocabulary fence and embedding finiteness. Open runs it
+/// on a mapping and FromPacked on an in-memory pack, so both serve only
+/// what this accepts.
+Status VerifyImage(const ModelBinaryIndex& index, MappedRegion image) {
+  const uint8_t* data = image.data;
+  if (image.size != index.data_file_size) {
     return Status::InvalidArgument(
-        "model binary: data file is " +
-        std::to_string(region.region().size) + " bytes, index expects " +
-        std::to_string(index.data_file_size) + " (truncated or swapped?)");
+        "model binary: data file is " + std::to_string(image.size) +
+        " bytes, index expects " + std::to_string(index.data_file_size) +
+        " (truncated or swapped?)");
   }
   if (std::memcmp(data, kDatMagic, sizeof(kDatMagic)) != 0) {
     return Status::InvalidArgument(
         "model binary: bad data-file magic (is this the .dat of this .idx?)");
   }
-  // Per-section CRC32 over the mapped bytes: one sequential pass that
+  // Per-section CRC32 over the image bytes: one sequential pass that
   // detects any bit flip before a single value is served, and doubles as
   // the page-cache warmup for the serving path.
   for (const ModelSectionEntry& entry : index.sections) {
@@ -643,9 +603,72 @@ StatusOr<std::shared_ptr<const MappedModel>> MappedModel::Open(
       }
     }
   }
+  return Status::OK();
+}
+
+MappedRegion RegionOf(const std::string& bytes) {
+  return {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()};
+}
+
+}  // namespace
+
+MappedModel::MappedModel(ModelBinaryIndex index, std::string idx_path,
+                         MappedRegion region, MemoryMapOps* ops,
+                         std::string image)
+    : index_(std::move(index)),
+      idx_path_(std::move(idx_path)),
+      image_(std::move(image)),
+      region_(ops != nullptr ? region : RegionOf(image_)),
+      ops_(ops) {
+  auto base = [this](size_t slot) {
+    return region_.data + index_.sections[slot].offset;
+  };
+  phi_ = reinterpret_cast<const double*>(base(0));
+  gel_mean_ = reinterpret_cast<const double*>(base(1));
+  gel_prec_ = reinterpret_cast<const double*>(base(2));
+  emulsion_mean_ = reinterpret_cast<const double*>(base(3));
+  emulsion_prec_ = reinterpret_cast<const double*>(base(4));
+  recipe_counts_ = reinterpret_cast<const int64_t*>(base(5));
+  vocab_offsets_ = reinterpret_cast<const uint64_t*>(base(6));
+  vocab_counts_ = reinterpret_cast<const int64_t*>(base(7));
+  pool_ = reinterpret_cast<const char*>(base(8));
+  if (index_.sections.size() == kModelSectionCountWithEmbeddings) {
+    embedding_ = reinterpret_cast<const float*>(base(9));
+    embedding_norms_ = reinterpret_cast<const float*>(base(10));
+    embedding_dim_ =
+        static_cast<size_t>(index_.sections[9].count / index_.vocab_size);
+  }
+}
+
+MappedModel::~MappedModel() {
+  if (ops_ != nullptr) ops_->Unmap(region_);
+}
+
+StatusOr<std::shared_ptr<const MappedModel>> MappedModel::Open(
+    const std::string& base_or_idx, MemoryMapOps& ops) {
+  ModelBinaryPaths paths = ModelBinaryPathsFor(base_or_idx);
+  TEXRHEO_ASSIGN_OR_RETURN(std::string idx_bytes,
+                           ReadFileToString(paths.idx));
+  TEXRHEO_ASSIGN_OR_RETURN(ModelBinaryIndex index,
+                           ParseModelBinaryIndex(idx_bytes));
+  TEXRHEO_RETURN_IF_ERROR(ValidateModelBinaryIndex(index));
+
+  TEXRHEO_ASSIGN_OR_RETURN(MappedRegion region, ops.Map(paths.dat));
+  if (Status status = VerifyImage(index, region); !status.ok()) {
+    ops.Unmap(region);
+    return status;
+  }
+  return std::shared_ptr<const MappedModel>(new MappedModel(
+      std::move(index), std::move(paths.idx), region, &ops, std::string()));
+}
+
+StatusOr<std::shared_ptr<const MappedModel>> MappedModel::FromPacked(
+    PackedModel packed) {
+  TEXRHEO_RETURN_IF_ERROR(ValidateModelBinaryIndex(packed.index));
+  TEXRHEO_RETURN_IF_ERROR(VerifyImage(packed.index, RegionOf(packed.dat)));
   return std::shared_ptr<const MappedModel>(
-      new MappedModel(std::move(paths), std::move(index), region.Release(),
-                      &ops));
+      new MappedModel(std::move(packed.index), std::string(), MappedRegion{},
+                      nullptr, std::move(packed.dat)));
 }
 
 embed::EmbeddingTable CopyEmbeddingTable(const MappedModel& mapped) {
@@ -657,6 +680,48 @@ embed::EmbeddingTable CopyEmbeddingTable(const MappedModel& mapped) {
   table.vectors.assign(matrix.begin(), matrix.end());
   table.norms.assign(norms.begin(), norms.end());
   return table;
+}
+
+StatusOr<TopicEstimates> MappedTopicEstimates(const MappedModel& mapped) {
+  auto decode = [](const char* kind, int k, size_t dim,
+                   std::span<const double> mean,
+                   std::span<const double> prec) -> StatusOr<math::Gaussian> {
+    math::Vector mu(dim);
+    for (size_t i = 0; i < dim; ++i) mu[i] = mean[i];
+    math::Matrix lambda(dim, dim);
+    for (size_t r = 0; r < dim; ++r) {
+      for (size_t c = 0; c < dim; ++c) lambda(r, c) = prec[r * dim + c];
+    }
+    auto g = math::Gaussian::FromPrecision(std::move(mu), std::move(lambda));
+    if (!g.ok()) {
+      return Status::InvalidArgument(
+          std::string("model binary: ") + kind + " gaussian for topic " +
+          std::to_string(k) + " is not positive definite: " +
+          g.status().message());
+    }
+    return g;
+  };
+  TopicEstimates est;
+  int k_count = mapped.num_topics();
+  est.gel_topics.reserve(static_cast<size_t>(k_count));
+  est.emulsion_topics.reserve(static_cast<size_t>(k_count));
+  for (int k = 0; k < k_count; ++k) {
+    TEXRHEO_ASSIGN_OR_RETURN(
+        math::Gaussian gel,
+        decode("gel", k, mapped.gel_dim(), mapped.gel_mean(k),
+               mapped.gel_precision(k)));
+    est.gel_topics.push_back(std::move(gel));
+    TEXRHEO_ASSIGN_OR_RETURN(
+        math::Gaussian emulsion,
+        decode("emulsion", k, mapped.emulsion_dim(), mapped.emulsion_mean(k),
+               mapped.emulsion_precision(k)));
+    est.emulsion_topics.push_back(std::move(emulsion));
+  }
+  est.topic_recipe_count.reserve(static_cast<size_t>(k_count));
+  for (int64_t n : mapped.recipe_counts()) {
+    est.topic_recipe_count.push_back(static_cast<int>(n));
+  }
+  return est;
 }
 
 StatusOr<ModelSnapshot> ReadModelBinary(const std::string& base_or_idx,
@@ -671,37 +736,11 @@ StatusOr<ModelSnapshot> ReadModelBinary(const std::string& base_or_idx,
     return Status::InvalidArgument(
         "model binary: vocabulary pool contains duplicate words");
   }
-  int k_count = mapped->num_topics();
-  model.estimates.phi.reserve(static_cast<size_t>(k_count));
-  for (int k = 0; k < k_count; ++k) {
+  TEXRHEO_ASSIGN_OR_RETURN(model.estimates, MappedTopicEstimates(*mapped));
+  model.estimates.phi.reserve(static_cast<size_t>(mapped->num_topics()));
+  for (int k = 0; k < mapped->num_topics(); ++k) {
     std::span<const double> row = mapped->phi_row(k);
     model.estimates.phi.emplace_back(row.begin(), row.end());
-  }
-  auto rebuild = [](size_t dim, std::span<const double> mean,
-                    std::span<const double> prec) -> StatusOr<math::Gaussian> {
-    math::Vector mu(dim);
-    for (size_t i = 0; i < dim; ++i) mu[i] = mean[i];
-    math::Matrix lambda(dim, dim);
-    for (size_t r = 0; r < dim; ++r) {
-      for (size_t c = 0; c < dim; ++c) lambda(r, c) = prec[r * dim + c];
-    }
-    return math::Gaussian::FromPrecision(std::move(mu), std::move(lambda));
-  };
-  for (int k = 0; k < k_count; ++k) {
-    TEXRHEO_ASSIGN_OR_RETURN(
-        math::Gaussian gel,
-        rebuild(mapped->gel_dim(), mapped->gel_mean(k),
-                mapped->gel_precision(k)));
-    model.estimates.gel_topics.push_back(std::move(gel));
-    TEXRHEO_ASSIGN_OR_RETURN(
-        math::Gaussian emulsion,
-        rebuild(mapped->emulsion_dim(), mapped->emulsion_mean(k),
-                mapped->emulsion_precision(k)));
-    model.estimates.emulsion_topics.push_back(std::move(emulsion));
-  }
-  model.estimates.topic_recipe_count.reserve(static_cast<size_t>(k_count));
-  for (int64_t n : mapped->recipe_counts()) {
-    model.estimates.topic_recipe_count.push_back(static_cast<int>(n));
   }
   return model;
 }

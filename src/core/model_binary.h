@@ -33,7 +33,10 @@ namespace texrheo::core {
 /// old pair or a dangling `.dat` that no index points at. The reader mmaps
 /// `.dat` read-only and serves phi rows and Gaussian blocks as spans over
 /// the mapping - load cost is O(pages touched + one CRC pass), not a parse,
-/// and N serving processes on one box share the page cache.
+/// and N serving processes on one box share the page cache. A model built
+/// in memory is packed into the same image by the same writer
+/// (PackModelBinary) and served through the same view, so every served
+/// model reads one layout.
 ///
 /// Like the checkpoint format, doubles travel as raw native-endian bit
 /// patterns: this is a single-machine serving artifact, not an interchange
@@ -115,11 +118,17 @@ struct ModelBinaryPaths {
 };
 ModelBinaryPaths ModelBinaryPathsFor(const std::string& base_or_idx);
 
-/// Packs `snapshot` into `<base>.dat` + `<base>.idx`. The model is first
+/// A model-binary image in memory: the index and the `.dat` bytes, exactly
+/// what WriteModelBinary puts on disk.
+struct PackedModel {
+  ModelBinaryIndex index;
+  std::string dat;
+};
+
+/// Packs `snapshot` into its model-binary image. The model is first
 /// canonicalized through the v2 text round-trip (serialize + reparse), so
 /// the packed doubles are bit-identical to what LoadModel of the v2 file
 /// would produce and the stored fingerprint matches the v2 load path.
-/// Both files are written atomically, `.idx` last.
 ///
 /// A non-null, non-empty `embeddings` table is appended as the optional
 /// trailing section pair; its vocabulary size must match the model's. The
@@ -128,6 +137,12 @@ ModelBinaryPaths ModelBinaryPathsFor(const std::string& base_or_idx);
 /// and a pack with and without embeddings of the same model are the same
 /// model to fingerprint-keyed machinery (reload checks, router
 /// convergence).
+StatusOr<PackedModel> PackModelBinary(
+    const ModelSnapshot& snapshot,
+    const embed::EmbeddingTable* embeddings = nullptr);
+
+/// Writes PackModelBinary's image to `<base>.dat` + `<base>.idx`. Both
+/// files are written atomically, `.idx` last.
 Status WriteModelBinary(const ModelSnapshot& snapshot,
                         const std::string& base_or_idx,
                         FileOps& ops = FileOps::Real(),
@@ -140,14 +155,6 @@ Status ConvertModelFileToBinary(const std::string& v2_path,
                                 FileOps& ops = FileOps::Real(),
                                 const embed::EmbeddingTable* embeddings =
                                     nullptr);
-
-/// Argument order matching SaveModel(path, snapshot): packs `snapshot`
-/// into `<base>.dat` + `<base>.idx`.
-inline Status SaveModelBinary(const std::string& base_or_idx,
-                              const ModelSnapshot& snapshot,
-                              FileOps& ops = FileOps::Real()) {
-  return WriteModelBinary(snapshot, base_or_idx, ops);
-}
 
 /// A read-only byte range returned by MemoryMapOps::Map.
 struct MappedRegion {
@@ -172,22 +179,30 @@ class MemoryMapOps {
   static MemoryMapOps& Real();
 };
 
-/// RAII view over a mapped, fully verified model pair.
+/// RAII view over a fully verified model-binary image: a read-only mapping
+/// of a `.dat`/`.idx` pair (Open) or an image packed in memory
+/// (FromPacked).
 ///
-/// Open() validates everything up front - index frame + CRC, section table,
-/// data file size, per-section CRC32 over the mapped bytes, and vocabulary
-/// pool structure - so accessors can be unchecked span math. A truncated,
-/// bit-flipped, swapped, or hostile pair is rejected with a clean Status
-/// naming the failing section; no partially-valid MappedModel ever exists.
+/// Both factories validate everything up front - index frame + CRC (Open
+/// only: a packed index never left memory), section table, data size,
+/// per-section CRC32 over the image bytes, and vocabulary pool structure -
+/// so accessors can be unchecked span math. A truncated, bit-flipped,
+/// swapped, or hostile image is rejected with a clean Status naming the
+/// failing section; no partially-valid MappedModel ever exists.
 ///
-/// The mapping is released in the destructor, so holders (ServingSnapshot,
-/// and transitively every in-flight query) keep the pages alive via
-/// shared_ptr until the last reference drops.
+/// The model owns its bytes: a mapping is released in the destructor, a
+/// packed image with the object, so holders (ServingSnapshot, and
+/// transitively every in-flight query) keep them alive via shared_ptr
+/// until the last reference drops.
 class MappedModel {
  public:
   static StatusOr<std::shared_ptr<const MappedModel>> Open(
       const std::string& base_or_idx,
       MemoryMapOps& ops = MemoryMapOps::Real());
+  /// Takes ownership of an image from PackModelBinary and runs the checks
+  /// Open runs on a mapping.
+  static StatusOr<std::shared_ptr<const MappedModel>> FromPacked(
+      PackedModel packed);
 
   ~MappedModel();
   MappedModel(const MappedModel&) = delete;
@@ -200,11 +215,12 @@ class MappedModel {
   /// Fingerprint recorded at pack time: CRC32 of the canonical v2 text
   /// serialization, equal to what the v2 load path computes.
   uint32_t fingerprint() const { return index_.fingerprint; }
+  /// Bytes of the `.dat` image, mapped or packed.
   size_t mapped_bytes() const { return region_.size; }
-  const std::string& dat_path() const { return paths_.dat; }
-  const std::string& idx_path() const { return paths_.idx; }
+  /// The `.idx` path Open was given; empty for a packed image.
+  const std::string& idx_path() const { return idx_path_; }
 
-  /// P(term v | topic k) row, served directly from the mapping.
+  /// P(term v | topic k) row, served directly from the image.
   std::span<const double> phi_row(int k) const {
     return {phi_ + static_cast<size_t>(k) * vocab_size(), vocab_size()};
   }
@@ -236,11 +252,7 @@ class MappedModel {
   /// True when the pack carries the optional embedding section pair.
   bool has_embeddings() const { return embedding_ != nullptr; }
   size_t embedding_dim() const { return embedding_dim_; }
-  /// Row vector of vocabulary id v; requires has_embeddings().
-  std::span<const float> embedding(size_t v) const {
-    return {embedding_ + v * embedding_dim_, embedding_dim_};
-  }
-  /// Whole V*dim matrix / V norms, served directly from the mapping; both
+  /// Whole V*dim matrix / V norms, served directly from the image; both
   /// empty on a legacy nine-section pack.
   std::span<const float> embedding_matrix() const {
     return embedding_ == nullptr
@@ -262,14 +274,22 @@ class MappedModel {
   }
 
  private:
-  MappedModel(ModelBinaryPaths paths, ModelBinaryIndex index,
-              MappedRegion region, MemoryMapOps* ops);
+  /// A file mapping when `ops` is set; otherwise the bytes are `image`.
+  MappedModel(ModelBinaryIndex index, std::string idx_path,
+              MappedRegion region, MemoryMapOps* ops, std::string image);
 
-  ModelBinaryPaths paths_;
   ModelBinaryIndex index_;
+  std::string idx_path_;
+  // A packed image lives in one heap block from operator new, which aligns
+  // it to __STDCPP_DEFAULT_NEW_ALIGNMENT__ (at least 8, asserted in the
+  // .cc); every image outgrows the small-string buffer, since its header
+  // alone is 64 bytes. So the 64-byte section offsets keep every double
+  // and int64 block 8-byte aligned, as they do in a page-aligned mapping.
+  // Declared before region_, which points into it.
+  std::string image_;
   MappedRegion region_;
-  MemoryMapOps* ops_;
-  // Typed section bases into region_, resolved once at Open.
+  MemoryMapOps* ops_;  ///< Null for a packed image: nothing to unmap.
+  // Typed section bases into region_, resolved once at construction.
   const double* phi_ = nullptr;
   const double* gel_mean_ = nullptr;
   const double* gel_prec_ = nullptr;
@@ -288,6 +308,11 @@ class MappedModel {
 /// (empty table when the pack has none). Used by `texrheo_modelpack unpack`
 /// to round-trip the sections byte-for-byte into the sidecar format.
 embed::EmbeddingTable CopyEmbeddingTable(const MappedModel& mapped);
+
+/// Decodes the per-topic Gaussians (which need a Cholesky for LogPdf) and
+/// the recipe counts of a verified image; phi is left empty, since it is
+/// served from the image by MappedModel::phi_row.
+StatusOr<TopicEstimates> MappedTopicEstimates(const MappedModel& mapped);
 
 /// Fully decodes a binary pair back into a heap ModelSnapshot (the inverse
 /// of WriteModelBinary; used by `texrheo_modelpack unpack` and by

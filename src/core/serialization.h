@@ -48,8 +48,9 @@ std::string SerializeModel(const ModelSnapshot& snapshot);
 /// position shape the binary model format reports), and an excerpt of the
 /// offending line. Parsing is a fixed point of serialization: vocabulary
 /// counts are preserved, so serialize(parse(bytes)) == bytes for any valid
-/// model file. The packed binary sibling of this format lives in
-/// core/model_binary.h (`SaveModelBinary` conversion included there).
+/// model file. This text is the interchange format; every served model
+/// reads its packed binary sibling (core/model_binary.h), which is written
+/// from this round-trip.
 StatusOr<ModelSnapshot> DeserializeModel(const std::string& content);
 
 /// Convenience file wrappers. SaveModel writes atomically (temp file +

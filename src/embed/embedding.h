@@ -35,11 +35,10 @@ struct EmbeddingTable {
   void RecomputeNorms();
 };
 
-/// Non-owning span view of an embedding table. One interface over both
-/// storage paths: a heap EmbeddingTable and the mmapped model-binary
-/// sections serve through the same view, so consumers (the query engine's
-/// doc store) cannot tell them apart — which is what makes the
-/// heap-vs-mmap byte-identical-responses guarantee testable.
+/// Non-owning span view of an embedding table: a heap EmbeddingTable (Of)
+/// or the model-binary sections a ServingSnapshot serves from, so
+/// consumers (the query engine's doc store) read both through one
+/// interface.
 struct EmbeddingView {
   size_t vocab = 0;
   size_t dim = 0;

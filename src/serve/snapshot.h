@@ -14,7 +14,6 @@
 #include "core/serialization.h"
 #include "embed/embedding.h"
 #include "math/linalg.h"
-#include "recipe/dataset.h"
 #include "text/texture_dictionary.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -50,27 +49,28 @@ struct TopicTermSummary {
 /// keeps its model alive across any number of reloads. Every accessor is
 /// therefore safe from any thread by construction.
 ///
-/// Two storage paths sit behind one span/string_view interface:
-///  - heap: FromModelFile / FromModel / FromCheckpointFile own a decoded
-///    core::ModelSnapshot;
-///  - mmap: FromBinaryFile keeps a shared_ptr<const core::MappedModel> and
-///    serves phi rows and the vocabulary string pool directly out of the
-///    mapping - no per-load heap copy of the big tables. The snapshot (and
-///    transitively every in-flight query holding it) keeps the mapping
-///    alive, so unmapping is deferred until the last reference drops.
-/// Both paths serve byte-identical answers for the same model: the binary
-/// pack canonicalizes through the v2 text round-trip.
+/// Every snapshot serves from one verified model-binary image (see
+/// core/model_binary.h), held as a shared_ptr<const core::MappedModel>:
+/// FromBinaryFile maps a `.dat`/`.idx` pair, and FromModel packs an
+/// in-memory model with the same writer WriteModelBinary uses. phi rows,
+/// the vocabulary and the embeddings are spans into the image; only the
+/// per-topic Gaussians and the word index are built at load. The image,
+/// and a mapping with it, lives until the last snapshot and in-flight
+/// query holding it drops its reference.
 class ServingSnapshot {
  public:
-  /// Wraps a deserialized model, derives the per-topic term summaries, and
-  /// computes the content fingerprint. Fails on structurally inconsistent
-  /// estimates (phi/Gaussian/topic-count shape mismatches). A non-empty
+  /// Packs `model` (canonicalized through the v2 text round-trip, exactly
+  /// as SaveModel + LoadModel would leave it) and serves the image, so a
+  /// model serves the same bits whether passed here or saved and loaded.
+  /// Fails where the pack or the image checks fail: shape mismatches,
+  /// vocabulary words the v2 format cannot hold (whitespace or control
+  /// bytes, over 4,096 bytes), non-finite or negative phi. A non-empty
   /// `embeddings` table (vocabulary-aligned with the model) enables the
   /// embed/fused SIMILAR backends; it does not enter the fingerprint, which
   /// identifies the topic model alone (see WriteModelBinary).
   static StatusOr<std::shared_ptr<const ServingSnapshot>> FromModel(
-      core::ModelSnapshot model, std::string source,
-      embed::EmbeddingTable embeddings = {});
+      const core::ModelSnapshot& model, std::string source,
+      const embed::EmbeddingTable& embeddings = {});
 
   /// Loads a text-format (v2) model file.
   static StatusOr<std::shared_ptr<const ServingSnapshot>> FromModelFile(
@@ -89,60 +89,36 @@ class ServingSnapshot {
   static StatusOr<std::shared_ptr<const ServingSnapshot>> FromFile(
       const std::string& path);
 
-  /// Rebuilds a servable model from a Gibbs *checkpoint*: the checkpoint's
-  /// fingerprint reconstructs the training configuration, the sampler state
-  /// is restored through the usual fingerprint + corpus cross-checks
-  /// (refused on any mismatch), and eq.-5 estimates are extracted. The
-  /// dataset must be the corpus the checkpoint was trained on.
-  static StatusOr<std::shared_ptr<const ServingSnapshot>> FromCheckpointFile(
-      const std::string& path, const recipe::Dataset& dataset);
-
-  int num_topics() const { return num_topics_; }
-  size_t vocab_size() const { return vocab_size_; }
+  int num_topics() const { return model_->num_topics(); }
+  size_t vocab_size() const { return model_->vocab_size(); }
   /// CRC32 of the canonical serialized model text: two snapshots with the
   /// same fingerprint serve identical answers.
-  uint32_t fingerprint() const { return fingerprint_; }
+  uint32_t fingerprint() const { return model_->fingerprint(); }
   /// Where the snapshot came from (path or label), for /statsz.
   const std::string& source() const { return source_; }
-  /// True when phi and the vocabulary are served out of a file mapping.
-  bool mmap_backed() const { return mapped_ != nullptr; }
-  /// Bytes of the `.dat` mapping (0 on the heap path), for /statsz.
-  size_t mapped_bytes() const {
-    return mapped_ != nullptr ? mapped_->mapped_bytes() : 0;
-  }
+  /// Bytes of the model image, mapped or packed.
+  size_t mapped_bytes() const { return model_->mapped_bytes(); }
 
-  /// P(term v | topic k): a view into either the heap row or the mapping.
-  std::span<const double> phi(int k) const {
-    if (mapped_ != nullptr) return mapped_->phi_row(k);
-    return model_.estimates.phi[static_cast<size_t>(k)];
-  }
-  /// True when the snapshot can serve embedding-backed similarity (a heap
-  /// table was attached, or the binary pack carries the embedding pair).
-  bool has_embeddings() const {
-    return mapped_ != nullptr ? mapped_->has_embeddings()
-                              : !embeddings_.empty();
-  }
-  /// Zero-copy span view of the embeddings (heap rows or mapped sections);
-  /// empty view when has_embeddings() is false. Valid while the snapshot
-  /// lives — exactly the lifetime every in-flight query already holds.
+  /// P(term v | topic k): a view into the image.
+  std::span<const double> phi(int k) const { return model_->phi_row(k); }
+  /// True when the image carries the embedding section pair, so the
+  /// snapshot can serve embedding-backed similarity.
+  bool has_embeddings() const { return model_->has_embeddings(); }
+  /// Zero-copy span view of the embedding sections; empty view when
+  /// has_embeddings() is false. Valid while the snapshot lives — exactly
+  /// the lifetime every in-flight query already holds.
   embed::EmbeddingView embedding_view() const {
-    if (mapped_ != nullptr) return mapped_->embedding_view();
-    return embed::EmbeddingView::Of(embeddings_);
+    return model_->embedding_view();
   }
 
   /// Surface form of a vocabulary id.
-  std::string_view word(size_t v) const {
-    if (mapped_ != nullptr) return mapped_->word(v);
-    return model_.vocab.WordOf(static_cast<int32_t>(v));
-  }
+  std::string_view word(size_t v) const { return model_->word(v); }
   /// Id of `term`, or text::Vocabulary::kUnknownId.
   int32_t WordId(std::string_view term) const;
-  /// Per-topic Gaussians and Table-I linkage counts. On the mmap path the
-  /// Gaussians are materialized once at load (they need a Cholesky for
-  /// LogPdf anyway) and `phi` inside is intentionally empty - use phi(k).
-  const core::TopicEstimates& estimates() const {
-    return mapped_ != nullptr ? gaussian_estimates_ : model_.estimates;
-  }
+  /// Per-topic Gaussians and Table-I linkage counts, materialized once at
+  /// load (they need a Cholesky for LogPdf anyway). `phi` inside is
+  /// intentionally empty - use phi(k).
+  const core::TopicEstimates& estimates() const { return estimates_; }
 
   const TopicTermSummary& term_summary(int k) const {
     return summaries_[static_cast<size_t>(k)];
@@ -165,30 +141,18 @@ class ServingSnapshot {
  private:
   ServingSnapshot() = default;
 
-  /// Shared tail of every factory: validate shapes/finiteness through the
-  /// view accessors, then derive the per-topic summaries.
-  Status Finalize();
-  Status Validate() const;
+  /// Shared tail of every factory: decode the Gaussians, index the words,
+  /// check phi's values, and derive the per-topic summaries.
+  static StatusOr<std::shared_ptr<const ServingSnapshot>> FromImage(
+      std::shared_ptr<const core::MappedModel> model, std::string source);
   void BuildSummaries(const text::TextureDictionary& dict, int top_terms);
 
   std::string source_;
-  uint32_t fingerprint_ = 0;
-  int num_topics_ = 0;
-  size_t vocab_size_ = 0;
-  std::vector<TopicTermSummary> summaries_;
-
-  // Heap path: the decoded model. Unused (empty) when mapped_ is set.
-  core::ModelSnapshot model_;
-  // Heap path: optional vocabulary-aligned embeddings (empty when absent
-  // or when mapped_ serves them zero-copy instead).
-  embed::EmbeddingTable embeddings_;
-
-  // Mmap path: the verified mapping, Gaussians/linkage materialized from
-  // it (phi left empty), and a word -> id index over pool string_views
-  // (stable for the life of the mapping).
-  std::shared_ptr<const core::MappedModel> mapped_;
-  core::TopicEstimates gaussian_estimates_;
+  std::shared_ptr<const core::MappedModel> model_;
+  core::TopicEstimates estimates_;  ///< phi left empty; see estimates().
+  /// Word -> id over string_views into the image's pool.
   std::unordered_map<std::string_view, int32_t> word_index_;
+  std::vector<TopicTermSummary> summaries_;
 };
 
 }  // namespace texrheo::serve

@@ -206,8 +206,6 @@ TEST(ModelBinaryTest, MmapSnapshotEqualsV2Snapshot) {
   const serve::ServingSnapshot& text = **from_text;
   const serve::ServingSnapshot& mmapped = **from_map;
 
-  EXPECT_FALSE(text.mmap_backed());
-  EXPECT_TRUE(mmapped.mmap_backed());
   EXPECT_GT(mmapped.mapped_bytes(), 0u);
   EXPECT_EQ(text.fingerprint(), mmapped.fingerprint());
   ASSERT_EQ(text.num_topics(), mmapped.num_topics());

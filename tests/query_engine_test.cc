@@ -12,6 +12,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,7 +20,9 @@
 #include "core/model_binary.h"
 #include "embed/embedding.h"
 #include "math/distributions.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "recipe/dataset.h"
 #include "recipe/ingredient.h"
 #include "serve/snapshot.h"
@@ -623,37 +626,66 @@ TEST(QueryEngineTest, StatszMentionsEverySection) {
   }
 }
 
+/// Clock that parks the thread taking its second reading until Release.
+/// Behind the engine's tracer, a PredictTexture miss reads the clock when
+/// its admission span starts and again when that span ends, just after
+/// its fold-in took an in-flight slot, so the first query holds its slot
+/// for as long as the test needs, with no sleeps or timing.
+class ParkingClock final : public obs::Clock {
+ public:
+  int64_t NowMicros() const override {
+    if (readings_.fetch_add(1) == 1) {
+      parked_.set_value();
+      released_.wait();
+    }
+    return 0;
+  }
+  void WaitUntilParked() { parked_future_.wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  mutable std::atomic<int> readings_{0};
+  mutable std::promise<void> parked_;
+  std::future<void> parked_future_ = parked_.get_future();
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
 TEST(QueryEngineTest, AdmissionControlShedsWithUnavailable) {
-  // max_in_flight 1 with a slow fold-in: flood with distinct queries from
-  // several threads and require at least one clean Unavailable shed plus
-  // zero crashes.
+  // max_in_flight 1 with the first query parked inside its admitted window:
+  // every query asked meanwhile must be shed with a clean Unavailable, and
+  // the slot must serve again once the parked query completes.
+  ParkingClock clock;
+  obs::Tracer tracer(&clock);
   QueryEngineConfig config = FastConfig();
   config.cache_capacity = 0;  // Every query must fold in.
   config.max_in_flight = 1;
-  config.fold_in_sweeps = 2000;  // Slow enough for the fold-ins to overlap.
+  config.tracer = &tracer;
   auto engine = QueryEngine::Create(config, TinySnapshot(), nullptr);
   ASSERT_TRUE(engine.ok());
   std::atomic<int> ok{0}, shed{0}, other{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 8; ++i) {
-        TextureQuery query;
-        query.texture_terms = {"katai", "purupuru", "katai", "fuwafuwa"};
-        query.gel_concentration = math::Vector(3);
-        query.gel_concentration[0] = 0.001 * (t * 8 + i + 1);
-        auto result = (*engine)->PredictTexture(query);
-        if (result.ok()) {
-          ++ok;
-        } else if (result.status().code() == StatusCode::kUnavailable) {
-          ++shed;
-        } else {
-          ++other;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  auto ask = [&](int i) {
+    TextureQuery query;
+    query.texture_terms = {"katai", "purupuru", "katai", "fuwafuwa"};
+    query.gel_concentration = math::Vector(3);
+    query.gel_concentration[0] = 0.001 * (i + 1);
+    auto result = (*engine)->PredictTexture(query);
+    if (result.ok()) {
+      ++ok;
+    } else if (result.status().code() == StatusCode::kUnavailable) {
+      ++shed;
+    } else {
+      ++other;
+    }
+  };
+  std::thread parked([&] { ask(0); });
+  clock.WaitUntilParked();
+  for (int i = 1; i <= 3; ++i) ask(i);
+  EXPECT_EQ(shed.load(), 3);
+  clock.Release();
+  parked.join();
+  ask(4);
+  EXPECT_EQ(ok.load(), 2);
   EXPECT_EQ(other.load(), 0);
   EXPECT_GT(ok.load(), 0);
   EXPECT_GT(shed.load(), 0);

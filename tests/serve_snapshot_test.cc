@@ -1,20 +1,20 @@
 // ServingSnapshot: structural validation, fingerprint semantics, model-file
-// and checkpoint loading, eq.-5 fold-in against point estimates (incl.
-// determinism and thread safety of the const read path).
+// and binary loading, one served image per model, eq.-5 fold-in against
+// point estimates (incl. determinism and thread safety of the const read
+// path).
 
 #include "serve/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
 #include <vector>
 
-#include <atomic>
-
-#include "core/checkpoint.h"
 #include "core/joint_topic_model.h"
 #include "core/model_binary.h"
 #include "core/serialization.h"
@@ -235,13 +235,11 @@ TEST(ServingSnapshotTest, FromFileDispatchesOnExtension) {
 
   auto text = ServingSnapshot::FromFile(v2_path);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_FALSE((*text)->mmap_backed());
 
   // Either spelling of the pair resolves to the mmap path.
   for (const std::string& path : {base + ".idx", base + ".dat"}) {
     auto mapped = ServingSnapshot::FromFile(path);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    EXPECT_TRUE((*mapped)->mmap_backed());
     EXPECT_GT((*mapped)->mapped_bytes(), 0u);
     EXPECT_EQ((*mapped)->fingerprint(), (*text)->fingerprint());
   }
@@ -334,6 +332,141 @@ TEST(ServingSnapshotTest, LegacySnapshotsReportNoEmbeddings) {
   EXPECT_TRUE((*mapped)->embedding_view().vectors.empty());
 }
 
+// --- One image per model ---------------------------------------------------
+
+/// Five recipes over three words: trained estimates are full-precision
+/// doubles, which the v2 text's 12 significant digits round.
+recipe::Dataset TrainingCorpus() {
+  recipe::Dataset ds;
+  for (const char* word : {"katai", "purupuru", "fuwafuwa"}) {
+    ds.term_vocab.Add(word);
+  }
+  auto add = [&ds](std::vector<int32_t> terms, double gel) {
+    recipe::Document doc;
+    doc.recipe_index = ds.documents.size();
+    doc.term_ids = std::move(terms);
+    doc.gel_feature = math::Vector(1, gel);
+    doc.emulsion_feature = math::Vector(1, 0.0);
+    doc.gel_concentration = math::Vector(1, 0.01);
+    doc.emulsion_concentration = math::Vector(1, 0.1);
+    ds.documents.push_back(std::move(doc));
+  };
+  add({0, 0, 2}, 1.0);
+  add({1}, 3.0);
+  add({0, 1}, 1.5);
+  add({2, 2, 1}, 2.7);
+  add({1, 0}, 3.3);
+  return ds;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(ServingSnapshotTest, InMemoryModelServesTheBitsItSavesAs) {
+  recipe::Dataset ds = TrainingCorpus();
+  core::JointTopicModelConfig config;
+  config.num_topics = 2;
+  config.use_emulsion_likelihood = false;
+  config.seed = 31;
+  auto trained = core::JointTopicModel::Create(config, &ds);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  ASSERT_TRUE(trained->RunSweeps(10).ok());
+  core::ModelSnapshot model =
+      core::MakeSnapshot(trained->Estimate(), ds.term_vocab);
+  // Without doubles the v2 text rounds, both sides would agree whether or
+  // not they serve one image.
+  auto rounded = core::DeserializeModel(core::SerializeModel(model));
+  ASSERT_TRUE(rounded.ok()) << rounded.status().ToString();
+  ASSERT_NE(rounded->estimates.phi, model.estimates.phi);
+
+  embed::EmbeddingTable table;
+  table.dim = 4;
+  table.vectors.resize(ds.term_vocab.size() * table.dim);
+  for (size_t i = 0; i < table.vectors.size(); ++i) {
+    table.vectors[i] = 0.1f * static_cast<float>(i) - 0.35f;
+  }
+  table.RecomputeNorms();
+  std::string base = testing::TempDir() + "/texrheo_one_image";
+  ASSERT_TRUE(
+      core::WriteModelBinary(model, base, FileOps::Real(), &table).ok());
+  auto memory = ServingSnapshot::FromModel(model, "memory", table);
+  auto file = ServingSnapshot::FromBinaryFile(base + ".idx");
+  ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const ServingSnapshot& a = **memory;
+  const ServingSnapshot& b = **file;
+
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  ASSERT_EQ(a.num_topics(), b.num_topics());
+  ASSERT_EQ(a.vocab_size(), b.vocab_size());
+  auto expect_same = [](const math::Gaussian& x, const math::Gaussian& y) {
+    ASSERT_EQ(x.dim(), y.dim());
+    for (size_t i = 0; i < x.dim(); ++i) {
+      EXPECT_EQ(Bits(x.mean()[i]), Bits(y.mean()[i]));
+      for (size_t j = 0; j < x.dim(); ++j) {
+        EXPECT_EQ(Bits(x.precision()(i, j)), Bits(y.precision()(i, j)));
+      }
+    }
+  };
+  for (int k = 0; k < a.num_topics(); ++k) {
+    SCOPED_TRACE("topic " + std::to_string(k));
+    for (size_t v = 0; v < a.vocab_size(); ++v) {
+      EXPECT_EQ(Bits(a.phi(k)[v]), Bits(b.phi(k)[v])) << "word " << v;
+    }
+    size_t ks = static_cast<size_t>(k);
+    expect_same(a.estimates().gel_topics[ks], b.estimates().gel_topics[ks]);
+    expect_same(a.estimates().emulsion_topics[ks],
+                b.estimates().emulsion_topics[ks]);
+  }
+  for (size_t v = 0; v < a.vocab_size(); ++v) {
+    EXPECT_EQ(a.word(v), b.word(v));
+    EXPECT_EQ(a.WordId(a.word(v)), static_cast<int32_t>(v));
+    EXPECT_EQ(b.WordId(a.word(v)), static_cast<int32_t>(v));
+  }
+  embed::EmbeddingView ea = a.embedding_view();
+  embed::EmbeddingView eb = b.embedding_view();
+  ASSERT_EQ(ea.vectors.size(), eb.vectors.size());
+  ASSERT_EQ(ea.norms.size(), eb.norms.size());
+  EXPECT_EQ(std::memcmp(ea.vectors.data(), eb.vectors.data(),
+                        ea.vectors.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(ea.norms.data(), eb.norms.data(),
+                        ea.norms.size() * sizeof(float)),
+            0);
+  const std::vector<std::vector<int32_t>> streams = {
+      {}, {0}, {1, 2}, {0, 1, 2, 2}, {2, 2, 2}};
+  for (size_t i = 0; i < streams.size(); ++i) {
+    Rng rng_a = Rng::ForStream(2024, i);
+    Rng rng_b = Rng::ForStream(2024, i);
+    math::Vector gel(1, 0.8 + 0.6 * static_cast<double>(i));
+    auto theta_a = a.FoldInTheta(streams[i], gel, 25, 0.3, rng_a);
+    auto theta_b = b.FoldInTheta(streams[i], gel, 25, 0.3, rng_b);
+    ASSERT_TRUE(theta_a.ok() && theta_b.ok());
+    ASSERT_EQ(theta_a->size(), theta_b->size());
+    EXPECT_EQ(std::memcmp(theta_a->data(), theta_b->data(),
+                          theta_a->size() * sizeof(double)),
+              0)
+        << "stream " << i;
+  }
+}
+
+TEST(ServingSnapshotTest, FromModelRefusesWordsTheImageRefuses) {
+  // The v2 text splits words on whitespace, and the image refuses control
+  // bytes and words over 4,096 bytes: SaveModel could not round-trip any
+  // of these, so FromModel does not serve them either.
+  for (const std::string& bad :
+       {std::string("puru puru"), std::string("puru\x01puru"),
+        std::string(4097, 'a')}) {
+    core::ModelSnapshot model;
+    model.vocab.Add("katai");
+    model.vocab.Add(bad);
+    model.vocab.Add("fuwafuwa");
+    model.vocab.Add("zzz-not-a-texture-word");
+    model.estimates = TinyModel().estimates;
+    EXPECT_FALSE(ServingSnapshot::FromModel(model, "x").ok())
+        << bad.substr(0, 16);
+  }
+}
+
 /// Real mmap plus map/unmap accounting, so tests can observe exactly when
 /// the mapping is released relative to snapshot references.
 class CountingMapOps final : public core::MemoryMapOps {
@@ -390,72 +523,6 @@ TEST(ServingSnapshotTest, UnmapWaitsForInFlightQueriesUnderRace) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(ops.maps.load(), 1);
   EXPECT_EQ(ops.unmaps.load(), 1);
-}
-
-// --- Checkpoint loading -----------------------------------------------------
-
-recipe::Dataset CheckpointDataset() {
-  recipe::Dataset ds;
-  ds.term_vocab.Add("w0");
-  ds.term_vocab.Add("w1");
-  auto add = [&ds](std::vector<int32_t> terms, double gel) {
-    recipe::Document doc;
-    doc.recipe_index = ds.documents.size();
-    doc.term_ids = std::move(terms);
-    doc.gel_feature = math::Vector(1, gel);
-    doc.emulsion_feature = math::Vector(1, 0.0);
-    doc.gel_concentration = math::Vector(1, 0.01);
-    doc.emulsion_concentration = math::Vector(1, 0.1);
-    ds.documents.push_back(std::move(doc));
-  };
-  add({0, 0}, 1.0);
-  add({1}, 3.0);
-  add({0, 1}, 1.5);
-  return ds;
-}
-
-core::JointTopicModelConfig CheckpointConfig() {
-  core::JointTopicModelConfig config;
-  config.num_topics = 2;
-  config.alpha = 0.5;
-  config.gamma = 0.5;
-  config.use_emulsion_likelihood = false;
-  config.seed = 31;
-  return config;
-}
-
-TEST(ServingSnapshotTest, FromCheckpointFileRebuildsTheTrainedModel) {
-  recipe::Dataset ds = CheckpointDataset();
-  auto model = core::JointTopicModel::Create(CheckpointConfig(), &ds);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  ASSERT_TRUE(model->RunSweeps(10).ok());
-  std::string path = testing::TempDir() + "/texrheo_serve_snapshot.ckpt";
-  ASSERT_TRUE(
-      core::WriteCheckpointFile(path, model->CaptureCheckpoint()).ok());
-
-  auto from_ckpt = ServingSnapshot::FromCheckpointFile(path, ds);
-  ASSERT_TRUE(from_ckpt.ok()) << from_ckpt.status().ToString();
-  auto direct = ServingSnapshot::FromModel(
-      core::MakeSnapshot(model->Estimate(), ds.term_vocab), "direct");
-  ASSERT_TRUE(direct.ok());
-  // Bit-exact restore => identical serialized content => same fingerprint.
-  EXPECT_EQ((*from_ckpt)->fingerprint(), (*direct)->fingerprint());
-  std::remove(path.c_str());
-}
-
-TEST(ServingSnapshotTest, FromCheckpointFileRefusesWrongCorpus) {
-  recipe::Dataset ds = CheckpointDataset();
-  auto model = core::JointTopicModel::Create(CheckpointConfig(), &ds);
-  ASSERT_TRUE(model.ok());
-  ASSERT_TRUE(model->RunSweeps(5).ok());
-  std::string path = testing::TempDir() + "/texrheo_serve_snapshot_bad.ckpt";
-  ASSERT_TRUE(
-      core::WriteCheckpointFile(path, model->CaptureCheckpoint()).ok());
-
-  recipe::Dataset other = CheckpointDataset();
-  other.documents.pop_back();  // Different corpus shape.
-  EXPECT_FALSE(ServingSnapshot::FromCheckpointFile(path, other).ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace
