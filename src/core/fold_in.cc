@@ -23,6 +23,11 @@ std::vector<double> FoldInDocument(const std::vector<double>& term_weights,
   }
   int local_y = static_cast<int>(rng.NextUint(k_count));
 
+  // log(n + alpha) for every count a topic can hold (at most `tokens`).
+  std::vector<double> log_count(tokens + 1);
+  for (size_t n = 0; n < log_count.size(); ++n) {
+    log_count[n] = std::log(static_cast<double>(n) + alpha);
+  }
   std::vector<double> weights(k_count);
   std::vector<double> log_w(k_count);
   for (int sweep = 0; sweep < sweeps; ++sweep) {
@@ -46,7 +51,7 @@ std::vector<double> FoldInDocument(const std::vector<double>& term_weights,
     }
     for (size_t k = 0; k < k_count; ++k) {
       log_w[k] =
-          std::log(static_cast<double>(local_n_k[k]) + alpha) + log_density[k];
+          log_count[static_cast<size_t>(local_n_k[k])] + log_density[k];
     }
     std::optional<size_t> y = rng.NextCategoricalFromLogs(log_w, weights);
     if (!y) {

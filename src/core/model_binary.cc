@@ -328,6 +328,16 @@ StatusOr<PackedModel> PackModelBinary(
   if (k_count == 0) {
     return Status::InvalidArgument("model binary: model has no topics");
   }
+  // The reader's limits (ValidateModelBinaryIndex): an image beyond them
+  // would be written but never open.
+  if (k_count > kMaxTopics) {
+    return Status::InvalidArgument("model binary: topic count out of range: " +
+                                   std::to_string(k_count));
+  }
+  if (v_count > kMaxVocab) {
+    return Status::InvalidArgument("model binary: implausible vocab size " +
+                                   std::to_string(v_count));
+  }
   size_t gel_dim = est.gel_topics.front().dim();
   size_t emulsion_dim = est.emulsion_topics.front().dim();
   if (gel_dim == 0 || emulsion_dim == 0 || gel_dim > kMaxDim ||
@@ -372,8 +382,10 @@ StatusOr<PackedModel> PackModelBinary(
   std::string pool;
   std::vector<uint64_t> offsets;
   std::vector<int64_t> word_counts;
-  offsets.reserve(v_count + 1);
+  // In this order: reserving `offsets` first makes GCC 12's TSan build
+  // report a false -Walloc-size-larger-than on `word_counts`.
   word_counts.reserve(v_count);
+  offsets.reserve(v_count + 1);
   for (size_t v = 0; v < v_count; ++v) {
     const std::string& word = model.vocab.WordOf(static_cast<int32_t>(v));
     if (word.empty() || word.size() > kMaxWordBytes) {

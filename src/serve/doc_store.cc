@@ -71,6 +71,75 @@ void KeepNearest(std::vector<SimilarRecipe>& ranking, size_t keep) {
   ranking.resize(keep);
 }
 
+namespace {
+
+/// Bound on |screen - KlDistance| for one candidate. The two are one
+/// 6-term sum of p_i log(p_i / q_i) in exact arithmetic, and each rounds off
+/// by a few ulps of its largest log. The smoothing keeps a query's
+/// probabilities (ratios in [0, 1]) at or above 1e-4 / 6.0006, so every log
+/// in either sum is about 11 or less in magnitude (well under 20 when a
+/// recipe's ingredients add up within one type) and the round-off stays far
+/// below 1e-12; logs near kMinScreenLog would still keep it below 1e-11.
+constexpr double kKlScreenSlack = 1e-9;
+
+/// A query log below this may come from a probability so small that
+/// p / q overflows inside KlDistance; such a query is scored in full.
+constexpr double kMinScreenLog = -700.0;
+
+}  // namespace
+
+std::vector<SimilarRecipe> NearestByKl(
+    const SimilarDoc& query, std::span<const SimilarDoc* const> candidates,
+    size_t keep) {
+  if (keep == 0) return {};
+  const math::Vector& q = query.emulsion;
+  std::vector<double> log_q(q.size());
+  bool screen_pays = keep < candidates.size();
+  for (size_t i = 0; i < q.size(); ++i) {
+    log_q[i] = std::log(q[i]);
+    // A NaN log fails the comparison too.
+    screen_pays = screen_pays && log_q[i] >= kMinScreenLog;
+  }
+  if (!screen_pays) {
+    std::vector<SimilarRecipe> ranking = Score(KlDistance, query, candidates);
+    KeepNearest(ranking, keep);
+    return ranking;
+  }
+
+  // screen = KlDistance +- kKlScreenSlack for every candidate, and +inf
+  // exactly where KlDistance is +inf.
+  std::vector<double> screen(candidates.size());
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const math::Vector& p = candidates[c]->emulsion;
+    if (p.size() != q.size()) {
+      screen[c] = std::numeric_limits<double>::infinity();
+      continue;
+    }
+    double cross = 0.0;
+    for (size_t i = 0; i < p.size(); ++i) {
+      if (p[i] > 0.0) cross += p[i] * log_q[i];
+    }
+    screen[c] = candidates[c]->emulsion_plogp - cross;
+  }
+  // With t the keep-th smallest screen, keep candidates have a KL of at
+  // most t + slack, so every member of the true top `keep` screens at or
+  // below t + 2 * slack.
+  std::vector<double> order = screen;
+  std::nth_element(order.begin(),
+                   order.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                   order.end());
+  const double cutoff = order[keep - 1] + 2.0 * kKlScreenSlack;
+  std::vector<SimilarRecipe> ranking;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    if (screen[c] <= cutoff) {
+      ranking.push_back(SimilarRecipe{candidates[c]->recipe_index,
+                                      KlDistance(query, *candidates[c])});
+    }
+  }
+  KeepNearest(ranking, keep);
+  return ranking;
+}
+
 DocStore::DocStore(int num_topics, embed::EmbeddingView embeddings)
     : embeddings_(embeddings) {
   base_.by_topic.resize(static_cast<size_t>(num_topics));
@@ -84,6 +153,10 @@ SimilarDoc DocStore::Prepare(int topic, const math::Vector& emulsion,
   if (auto normalized = math::NormalizeWeights(emulsion, kEmulsionKlSmoothing);
       normalized.ok()) {
     doc.emulsion = *std::move(normalized);
+    for (size_t i = 0; i < doc.emulsion.size(); ++i) {
+      const double p = doc.emulsion[i];
+      if (p > 0.0) doc.emulsion_plogp += p * std::log(p);
+    }
   }
   std::sort(terms.begin(), terms.end());
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());

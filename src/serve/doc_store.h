@@ -26,6 +26,10 @@ struct SimilarDoc {
   /// Smoothed, normalized emulsion distribution. Empty when the raw row
   /// does not normalize; such a recipe sorts last under kl.
   math::Vector emulsion;
+  /// Sum of p_i log p_i over the positive entries of `emulsion` (0 when it
+  /// is empty): the half of KL(doc || query) that no query changes, which
+  /// lets NearestByKl screen a record without a log.
+  double emulsion_plogp = 0.0;
   std::vector<int32_t> terms;  ///< Snapshot vocabulary ids, sorted-unique.
   /// Mean SGNS vector of `terms` (empty without embeddings) and its L2
   /// norm. Stored records keep the norm at float precision; a query keeps
@@ -68,6 +72,16 @@ std::vector<SimilarRecipe> Score(DocDistance distance, const SimilarDoc& query,
 /// Keeps the `keep` nearest entries of `ranking`, ordered by Nearer.
 void KeepNearest(std::vector<SimilarRecipe>& ranking, size_t keep);
 
+/// The `keep` nearest candidates under KlDistance, ordered by Nearer:
+/// exactly KeepNearest(Score(KlDistance, query, candidates), keep), the
+/// same recipes with the same divergence bits. A log-free screen,
+/// emulsion_plogp - sum_i p_i log q_i (KL itself in exact arithmetic),
+/// finds the candidates that can reach the top `keep`, and KlDistance runs
+/// only on those. The query and every candidate must come from Prepare.
+std::vector<SimilarRecipe> NearestByKl(
+    const SimilarDoc& query, std::span<const SimilarDoc* const> candidates,
+    size_t keep);
+
 /// SIMILAR's candidate records for one serving state, in two segments of
 /// one layout. The base segment holds the attached corpus (recipe_index =
 /// corpus document index) and is filled before the state is published; the
@@ -80,9 +94,10 @@ class DocStore {
   /// `embeddings` may be empty; its storage must outlive the store.
   DocStore(int num_topics, embed::EmbeddingView embeddings);
 
-  /// The record of raw observables: normalized emulsion row, sorted-unique
-  /// terms, SGNS mean and norm. Queries and stored recipes both go through
-  /// here, so every distance compares like with like.
+  /// The record of raw observables: normalized emulsion row and its
+  /// sum p log p, sorted-unique terms, SGNS mean and norm. Queries and
+  /// stored recipes both go through here, so every distance compares like
+  /// with like.
   SimilarDoc Prepare(int topic, const math::Vector& emulsion,
                      std::vector<int32_t> terms) const;
 

@@ -1,7 +1,9 @@
 #include "serve/protocol.h"
 
+#include <cassert>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace texrheo::serve {
@@ -98,10 +100,16 @@ StatusOr<core::LinkageMethod> ParseLinkageMethod(const std::string& name) {
   return Status::InvalidArgument("unknown linkage method '" + name + "'");
 }
 
-void AppendFixed(std::string* out, const char* fmt, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  *out += buf;
+void AppendFixed(std::string* out, double v, int precision) {
+  constexpr int kMaxFixedPrecision = 17;
+  assert(precision >= 0 && precision <= kMaxFixedPrecision);
+  // A sign, the 309 integer digits of the largest double, the point and
+  // the decimals: room for any finite value.
+  char buf[1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 +
+           kMaxFixedPrecision];
+  const std::to_chars_result r = std::to_chars(
+      buf, std::end(buf), v, std::chars_format::fixed, precision);
+  out->append(buf, r.ptr);
 }
 
 }  // namespace texrheo::serve

@@ -67,8 +67,10 @@ StatusOr<int> ParseTopicIndex(const std::string& token);
 /// Parses a NEAREST method= value.
 StatusOr<core::LinkageMethod> ParseLinkageMethod(const std::string& name);
 
-/// snprintf's `v` with `fmt` onto `out` (fixed-width response fields).
-void AppendFixed(std::string* out, const char* fmt, double v);
+/// Appends `v` in fixed notation with `precision` (0 to 17) decimals, as
+/// printf's "%.*f" in the "C" locale writes it (reply fields). Every finite
+/// value keeps all its integer digits.
+void AppendFixed(std::string* out, double v, int precision);
 
 }  // namespace texrheo::serve
 

@@ -513,10 +513,12 @@ StatusOr<SimilarRecipesResult> QueryEngine::SimilarRecipes(
       docs.Prepare(result.topic, emulsion, std::move(term_ids));
   const std::vector<const SimilarDoc*> candidates =
       docs.Candidates(result.topic);
+  const size_t keep = top_n == 0 ? config_.max_similar : top_n;
   std::vector<SimilarRecipe> ranking;
   switch (mode) {
     case SimilarityMode::kKl:
-      ranking = Score(KlDistance, probe, candidates);
+      // Already its top `keep`; KeepNearest below leaves it as it is.
+      ranking = NearestByKl(probe, candidates, keep);
       break;
     case SimilarityMode::kEmbed:
       ranking = Score(CosineDistance, probe, candidates);
@@ -558,7 +560,7 @@ StatusOr<SimilarRecipesResult> QueryEngine::SimilarRecipes(
       break;
     }
   }
-  KeepNearest(ranking, top_n == 0 ? config_.max_similar : top_n);
+  KeepNearest(ranking, keep);
   result.recipes = std::move(ranking);
   similar_cache_.Put(key, result);
   return result;

@@ -454,22 +454,22 @@ std::string LineProtocolServer::HandleCommand(const std::string& line,
     std::string out = "OK topic=" + std::to_string(p.topic) +
                       " cached=" + (p.from_cache ? "1" : "0");
     out += " hard=";
-    AppendFixed(&out, "%.4f", p.categories.hard);
+    AppendFixed(&out, p.categories.hard, 4);
     out += " soft=";
-    AppendFixed(&out, "%.4f", p.categories.soft);
+    AppendFixed(&out, p.categories.soft, 4);
     out += " elastic=";
-    AppendFixed(&out, "%.4f", p.categories.elastic);
+    AppendFixed(&out, p.categories.elastic, 4);
     out += " crumbly=";
-    AppendFixed(&out, "%.4f", p.categories.crumbly);
+    AppendFixed(&out, p.categories.crumbly, 4);
     out += " sticky=";
-    AppendFixed(&out, "%.4f", p.categories.sticky);
+    AppendFixed(&out, p.categories.sticky, 4);
     out += " dry=";
-    AppendFixed(&out, "%.4f", p.categories.dry);
+    AppendFixed(&out, p.categories.dry, 4);
     out += " top=";
     for (size_t i = 0; i < p.top_terms.size(); ++i) {
       if (i > 0) out += ',';
       out += p.top_terms[i].first + ':';
-      AppendFixed(&out, "%.4f", p.top_terms[i].second);
+      AppendFixed(&out, p.top_terms[i].second, 4);
     }
     return out;
   }
@@ -500,7 +500,7 @@ std::string LineProtocolServer::HandleCommand(const std::string& line,
     for (size_t i = 0; i < rows; ++i) {
       const RheologyMatch& m = (*matches_or)[i];
       out += " setting=" + std::to_string(m.setting_id) + ":";
-      AppendFixed(&out, "%.4f", m.divergence);
+      AppendFixed(&out, m.divergence, 4);
     }
     return out;
   }
@@ -521,7 +521,7 @@ std::string LineProtocolServer::HandleCommand(const std::string& line,
     for (size_t i = 0; i < rows; ++i) {
       if (i > 0) out += ',';
       out += std::to_string(result_or->recipes[i].recipe_index) + ':';
-      AppendFixed(&out, "%.4f", result_or->recipes[i].divergence);
+      AppendFixed(&out, result_or->recipes[i].divergence, 4);
     }
     return out;
   }
@@ -540,12 +540,12 @@ std::string LineProtocolServer::HandleCommand(const std::string& line,
     for (size_t i = 0; i < card_or->top_terms.size(); ++i) {
       if (i > 0) out += ',';
       out += card_or->top_terms[i].first + ':';
-      AppendFixed(&out, "%.4f", card_or->top_terms[i].second);
+      AppendFixed(&out, card_or->top_terms[i].second, 4);
     }
     out += " gel=";
     for (size_t i = 0; i < card_or->gel_mean_concentration.size(); ++i) {
       if (i > 0) out += ',';
-      AppendFixed(&out, "%.5f", card_or->gel_mean_concentration[i]);
+      AppendFixed(&out, card_or->gel_mean_concentration[i], 5);
     }
     return out;
   }

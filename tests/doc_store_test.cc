@@ -1,21 +1,25 @@
 // DocStore contract tests: record preparation (normalized emulsion row,
 // sorted-unique terms, SGNS mean vector, float-stored norm), the three
 // distances against independent references, the zero-norm cosine
-// sentinel, the (distance, recipe_index) order with top-n selection, and
-// the base/delta segments behind Candidates.
+// sentinel, the (distance, recipe_index) order with top-n selection, the
+// screened kl ranking against the full one, and the base/delta segments
+// behind Candidates.
 
 #include "serve/doc_store.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "embed/embedding.h"
 #include "math/divergence.h"
+#include "util/rng.h"
 
 namespace texrheo::serve {
 namespace {
@@ -166,6 +170,123 @@ TEST(DocStoreTest, KlIsDiscreteKlOfRecipeAgainstQuery) {
   }
   EXPECT_EQ(KlDistance(query, *docs[2]),
             std::numeric_limits<double>::infinity());
+}
+
+/// NearestByKl against the full ranking it replaces: the same recipes with
+/// the same divergence bits, in the same order.
+::testing::AssertionResult SameAsFullKlRanking(
+    const SimilarDoc& query, const std::vector<const SimilarDoc*>& candidates,
+    size_t keep) {
+  std::vector<SimilarRecipe> full = Score(KlDistance, query, candidates);
+  KeepNearest(full, keep);
+  const std::vector<SimilarRecipe> screened =
+      NearestByKl(query, candidates, keep);
+  if (screened.size() != full.size()) {
+    return ::testing::AssertionFailure()
+           << "keep " << keep << ": " << screened.size() << " recipes, not "
+           << full.size();
+  }
+  for (size_t i = 0; i < full.size(); ++i) {
+    if (screened[i].recipe_index != full[i].recipe_index ||
+        std::bit_cast<uint64_t>(screened[i].divergence) !=
+            std::bit_cast<uint64_t>(full[i].divergence)) {
+      return ::testing::AssertionFailure()
+             << "keep " << keep << ", rank " << i << ": recipe "
+             << screened[i].recipe_index << " at " << screened[i].divergence
+             << ", not " << full[i].recipe_index << " at "
+             << full[i].divergence;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One emulsion row of a kind a recipe or a query can carry: dense (kind
+/// 0), sparse (1), 0/1 (2), tiny (3) or all zero (any other kind).
+math::Vector RandomRow(Rng& rng, int kind) {
+  math::Vector row(6);
+  for (size_t i = 0; i < row.size(); ++i) {
+    switch (kind) {
+      case 0: row[i] = rng.NextDouble(); break;
+      case 1: row[i] = rng.NextBernoulli(0.3) ? rng.NextDouble() : 0.0; break;
+      case 2: row[i] = rng.NextBernoulli(0.5) ? 1.0 : 0.0; break;
+      case 3: row[i] = std::ldexp(rng.NextDouble(), -30); break;
+      default: row[i] = 0.0; break;
+    }
+  }
+  return row;
+}
+
+TEST(DocStoreTest, NearestByKlIsTheFullRankingBitForBit) {
+  Rng rng(2022);
+  DocStore store(2, embed::EmbeddingView{});
+  std::vector<math::Vector> rows;
+  for (int d = 0; d < 400; ++d) {
+    math::Vector row = RandomRow(rng, d % 6 == 5 ? 0 : d % 6);
+    if (d % 6 == 5) {
+      // Ingredients summed within a type: the row adds up to 6.
+      double sum = 0.0;
+      for (size_t i = 0; i < row.size(); ++i) sum += row[i];
+      for (size_t i = 0; i < row.size(); ++i) row[i] *= 6.0 / sum;
+    }
+    if (d % 50 == 7) row[d % 6] = -0.01;  // Does not normalize: ranks +inf.
+    if (d % 9 == 4) row = rows[rng.NextUint(rows.size())];  // Exact tie.
+    rows.push_back(row);
+    // Topic 1 holds a few records, fewer than most keeps below.
+    const int topic = d % 40 == 0 ? 1 : 0;
+    SimilarDoc doc = store.Prepare(topic, row, {});
+    if (d < 300) {
+      store.AppendBase(std::move(doc));
+    } else {
+      store.AppendDelta(static_cast<uint64_t>(d), std::move(doc));
+    }
+  }
+  for (int topic : {0, 1}) {
+    const std::vector<const SimilarDoc*> candidates = store.Candidates(topic);
+    const size_t n = candidates.size();
+    for (int q = 0; q <= 60; ++q) {
+      // Wire ratios lie in [0, 1]; some queries repeat a recipe's row. The
+      // last query no wire ratio makes: its other probabilities are so
+      // small that p / q overflows inside KlDistance.
+      math::Vector row = q % 10 == 9 ? rows[rng.NextUint(rows.size())]
+                                     : RandomRow(rng, q % 5);
+      for (size_t i = 0; i < row.size(); ++i) {
+        row[i] = std::clamp(row[i], 0.0, 1.0);
+      }
+      if (q == 60) row = {1e305, 0.0, 0.0, 0.0, 0.0, 0.0};
+      const SimilarDoc query = store.Prepare(topic, row, {});
+      for (size_t keep : {size_t{0}, size_t{1}, size_t{3}, size_t{20}, n - 1,
+                          n, n + 5}) {
+        EXPECT_TRUE(SameAsFullKlRanking(query, candidates, keep))
+            << "topic " << topic << ", query " << q;
+      }
+    }
+  }
+}
+
+TEST(DocStoreTest, NearestByKlOrdersRoundingTiesLikeTheFullRanking) {
+  // The 720 orderings of one row are equally far from a uniform query in
+  // exact arithmetic; rounding splits them, and the screen must not drop
+  // one the full ranking keeps.
+  Rng rng(7);
+  for (int set = 0; set < 8; ++set) {
+    std::vector<double> row = {0.0, 0.05, 0.15, 0.2, 0.3, 0.45};
+    if (set > 0) {
+      for (double& x : row) x = rng.NextDouble();
+      std::sort(row.begin(), row.end());
+    }
+    DocStore store(1, embed::EmbeddingView{});
+    do {
+      store.AppendBase(store.Prepare(0, math::Vector(row), {}));
+    } while (std::next_permutation(row.begin(), row.end()));
+    const std::vector<const SimilarDoc*> candidates = store.Candidates(0);
+    ASSERT_EQ(candidates.size(), 720u);
+    const SimilarDoc uniform = store.Prepare(0, math::Vector(6, 0.5), {});
+    for (size_t keep : {size_t{1}, size_t{3}, size_t{20}, size_t{100},
+                        size_t{719}}) {
+      EXPECT_TRUE(SameAsFullKlRanking(uniform, candidates, keep))
+          << "set " << set;
+    }
+  }
 }
 
 TEST(DocStoreTest, JaccardOverSortedUniqueTerms) {

@@ -11,13 +11,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "math/distributions.h"
+#include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 
@@ -343,6 +348,59 @@ TEST(ServerProtocolTest, HandleCommandIsUsableWithoutSockets) {
   std::string statsz = server.HandleCommand("STATSZ", &quit);
   EXPECT_NE(statsz.find("texrheo_serve statsz"), std::string::npos);
   EXPECT_EQ(statsz.substr(statsz.size() - 2), "\n.");
+}
+
+/// printf's "%.*f" of `v`, with room for every digit.
+std::string PrintfFixed(double v, int precision) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  return buf;
+}
+
+TEST(ServerProtocolTest, AppendFixedWritesWhatPrintfWrites) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                0.03125,  // Exact ties at the 4th decimal.
+                                0.00005,
+                                0.000015,
+                                2.5e-5,
+                                123456.789,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  // Near-ties: the halfway points at the 4th and 5th decimal and the
+  // doubles on either side of them, over a spread of magnitudes.
+  for (int scale : {10000, 100000}) {
+    for (int i = 0; i < 20000; ++i) {
+      const double mid = (i + 0.5) / scale;
+      for (double v : {mid, std::nextafter(mid, 0.0), std::nextafter(mid, 1.0),
+                       -mid, mid * 1e6}) {
+        values.push_back(v);
+      }
+    }
+  }
+  for (int e = -40; e <= 40; ++e) {
+    values.push_back(1.2345678901234567 * std::pow(10.0, e));
+  }
+  for (double v : values) {
+    for (int precision : {4, 5}) {
+      std::string out = "x=";
+      AppendFixed(&out, v, precision);
+      EXPECT_EQ(out, "x=" + PrintfFixed(v, precision))
+          << "precision " << precision;
+    }
+  }
+  // Every integer digit stays: 1e34 is the double
+  // 9999999999999999455752309870428160.
+  std::string out;
+  AppendFixed(&out, 1e34, 4);
+  EXPECT_EQ(out, "9999999999999999455752309870428160.0000");
 }
 
 }  // namespace
